@@ -21,14 +21,12 @@ from .core import (
     find_root_bracketed,
     integrate_newton_cotes,
     integrate_semi_infinite,
-    interp_linear,
     norm_cdf,
 )
 from .asymptotics import (
-    AsymptoticMethod,
+    CLOSED_FORMS,
     chen_chadam_alpha,
     eta_lowest_order,
-    rho_asymptotic,
     rho_chen_chadam,
     rho_ekk,
     rho_kk,
@@ -51,7 +49,6 @@ from .ssch import (
     MeshKind,
     big_f_eval,
     build_mesh,
-    g_eval,
     solve_boundary,
     solve_eta_at,
 )

@@ -18,7 +18,6 @@ Shared notation for strike E, rate r, volatility sigma:
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .core import DomainError, MarketParams
 
 __all__ = [
-    "AsymptoticMethod",
+    "CLOSED_FORMS",
     "eta_lowest_order",
     "rho_kk",
     "rho_ekk",
@@ -34,18 +33,7 @@ __all__ = [
     "rho_zhu_asymptote",
     "rho_chen_chadam",
     "chen_chadam_alpha",
-    "rho_asymptotic",
 ]
-
-
-class AsymptoticMethod(enum.Enum):
-    """Tags for the five closed-form boundary approximations."""
-
-    KK = "kk"
-    EKK = "ekk"
-    SSC_A = "ssc-a"
-    ZHU_ASYMPTOTE = "zhu-asymptote"
-    CHEN_CHADAM = "chen-chadam"
 
 
 def _check_tau(tau: float):
@@ -144,15 +132,11 @@ def rho_chen_chadam(tau: float, p: MarketParams) -> float:
     return p.strike * math.exp(-p.sigma * math.sqrt(2.0 * tau * alpha))
 
 
-_DISPATCH = {
-    AsymptoticMethod.KK: rho_kk,
-    AsymptoticMethod.EKK: rho_ekk,
-    AsymptoticMethod.SSC_A: rho_ssc_analytic,
-    AsymptoticMethod.ZHU_ASYMPTOTE: rho_zhu_asymptote,
-    AsymptoticMethod.CHEN_CHADAM: rho_chen_chadam,
+#: the five closed forms by command-line name, in the command line's order
+CLOSED_FORMS = {
+    "kk": rho_kk,
+    "ekk": rho_ekk,
+    "ssc-a": rho_ssc_analytic,
+    "chen-chadam": rho_chen_chadam,
+    "zhu-asymptote": rho_zhu_asymptote,
 }
-
-
-def rho_asymptotic(method: AsymptoticMethod, tau: float, p: MarketParams) -> float:
-    """Evaluate one of the closed-form approximations by tag."""
-    return _DISPATCH[method](tau, p)

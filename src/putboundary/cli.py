@@ -18,13 +18,7 @@ import sys
 
 import numpy as np
 
-from .asymptotics import (
-    rho_chen_chadam,
-    rho_ekk,
-    rho_kk,
-    rho_ssc_analytic,
-    rho_zhu_asymptote,
-)
+from .asymptotics import CLOSED_FORMS
 from .core import DomainError, MarketParams, NumericalError, QuadratureConfig
 from .pricing import boundary_rel_err, mispricing_err
 from .psor import PsorConfig, extract_boundary, psor_solve
@@ -38,15 +32,8 @@ EXIT_NUMERICAL = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-ANALYTIC_METHODS = {
-    "kk": rho_kk,
-    "ekk": rho_ekk,
-    "ssc-a": rho_ssc_analytic,
-    "chen-chadam": rho_chen_chadam,
-    "zhu-asymptote": rho_zhu_asymptote,
-}
 SOLVER_METHODS = ("ssch", "psor")
-ALL_METHODS = tuple(ANALYTIC_METHODS) + ("zhu",) + SOLVER_METHODS
+ALL_METHODS = tuple(CLOSED_FORMS) + ("zhu",) + SOLVER_METHODS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +96,7 @@ def build_parser() -> _Parser:
     mi.add_argument(
         "--method",
         default="zhu-asymptote",
-        choices=tuple(ANALYTIC_METHODS) + ("zhu",),
+        choices=tuple(CLOSED_FORMS) + ("zhu",),
         help="approximate boundary (default zhu-asymptote)",
     )
     mi.add_argument(
@@ -157,8 +144,8 @@ def _solver_curve(method: str, p: MarketParams, T: float, args):
 
 def _method_evaluator(method: str, p: MarketParams, T: float, args):
     """Callable tau -> rho; solver methods are solved once up front."""
-    if method in ANALYTIC_METHODS:
-        fn = ANALYTIC_METHODS[method]
+    if method in CLOSED_FORMS:
+        fn = CLOSED_FORMS[method]
         return lambda tau: p.strike if tau == 0.0 else fn(tau, p)
     if method == "zhu":
         return lambda tau: p.strike if tau == 0.0 else rho_zhu(tau, p)

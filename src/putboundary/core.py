@@ -3,9 +3,9 @@
 Everything downstream (closed-form approximations, the iterative
 integral-equation solver, the PSOR benchmark, price-gap integrals) is built
 on the primitives in this module: the normal CDF, composite Newton-Cotes
-quadrature, a truncated semi-infinite rule with a tail check, bracketed
-bisection, and piecewise-linear interpolation on a time-to-maturity grid.
-All functions are pure and safe to call concurrently.
+quadrature, a truncated semi-infinite rule with a tail check, and Brent's
+bracketed root finder.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "integrate_newton_cotes",
     "integrate_semi_infinite",
     "find_root_bracketed",
-    "interp_linear",
 ]
 
 
@@ -197,6 +196,7 @@ class QuadratureConfig:
 
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
 
 
 def norm_cdf(x: float) -> float:
@@ -228,8 +228,9 @@ def _boole_weights(n: int) -> np.ndarray:
     return w
 
 
-def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on all nodes, vectorised when f supports arrays."""
+def _eval_on_nodes(f, x: np.ndarray) -> np.ndarray:
+    """Evaluate f on all nodes, vectorised when f supports arrays and point
+    by point when it only takes scalars."""
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape != x.shape:
@@ -252,7 +253,7 @@ def integrate_newton_cotes(f, a: float, b: float, cfg: QuadratureConfig) -> floa
         return 0.0
     n = cfg.finite_subintervals
     x = np.linspace(a, b, n + 1)
-    y = _eval_integrand(f, x)
+    y = _eval_on_nodes(f, x)
     bad = ~np.isfinite(y)
     if bad.any():
         i = int(np.argmax(bad))
@@ -290,43 +291,59 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig) -> float:
 
 
 def find_root_bracketed(g, lo: float, hi: float, cfg: QuadratureConfig) -> float:
-    """Bisection on [lo, hi]; deterministic for fixed inputs.
+    """Brent's (1973) safeguarded secant on [lo, hi]; deterministic for fixed inputs.
 
-    Requires a sign change on the bracket.  Stops once the bracket width
-    drops below root_tol, raising MaxIterationsError if the cap is hit
-    first.
+    Requires a sign change on the bracket.  Each step takes an inverse
+    quadratic or secant step, and bisects instead when that step would
+    leave the bracket or shrink it too slowly, or when an endpoint value is
+    infinite.  Returns the end of the bracket with the smaller |g| once
+    that |g| is at most root_tol/2 or the bracket is narrower than
+    root_tol/1000, and raises MaxIterationsError if the cap is hit first.
     """
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    glo = g(lo)
-    ghi = g(hi)
-    if glo == 0.0:
+    a, fa = lo, g(lo)
+    b, fb = hi, g(hi)
+    if fa == 0.0:
         return lo
-    if ghi == 0.0:
+    if fb == 0.0:
         return hi
-    if glo * ghi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g(lo)={glo!r}, g(hi)={ghi!r}")
+    if (fa > 0) == (fb > 0):
+        raise BracketError(f"no sign change on [{lo}, {hi}]: g(lo)={fa!r}, g(hi)={fb!r}")
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < cfg.root_tol:
-            return mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0:
-            hi = mid
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5e-3 * cfg.root_tol
+        half = 0.5 * (c - b)
+        if abs(fb) <= 0.5 * cfg.root_tol or abs(half) <= tol:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            lo, glo = mid, gm
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = g(b)
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
     raise MaxIterationsError(
-        f"bisection did not reach width {cfg.root_tol:g} in {cfg.max_iter} iterations"
+        f"root search did not reach |g| <= {0.5 * cfg.root_tol:g} in {cfg.max_iter} iterations"
     )
-
-
-def interp_linear(grid: TauGrid, values, tau: float) -> float:
-    """Piecewise-linear value on the grid; exact at the nodes."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != grid.taus.shape:
-        raise DomainError("values and grid differ in length")
-    if tau < 0 or tau > grid.horizon:
-        raise DomainError(f"tau={tau} outside [0, {grid.horizon}]")
-    return float(np.interp(tau, grid.taus, v))

@@ -33,6 +33,7 @@ from .core import (
     MarketParams,
     QuadratureConfig,
     _boole_weights,
+    _eval_on_nodes,
     norm_cdf,
     norm_cdf_array,
 )
@@ -98,20 +99,6 @@ def european_put(S: float, tau: float, p: MarketParams) -> float:
     return E * math.exp(-p.r * tau) * norm_cdf(-d2) - S * norm_cdf(-d1)
 
 
-def _curve_values(curve, taus: np.ndarray) -> np.ndarray:
-    # BoundaryCurve instances and plain callables are both accepted; scalar-only
-    # callables get evaluated point by point
-    try:
-        vals = np.asarray(curve(taus), dtype=float)
-        if vals.shape != taus.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.fromiter(
-            (float(curve(float(t))) for t in taus), dtype=float, count=taus.size
-        )
-
-
 def price_gap_at_boundary(
     rho,
     rho_app,
@@ -137,8 +124,8 @@ def price_gap_at_boundary(
     xi = np.clip(tau - s * s, 0.0, tau)
     xi[0] = tau  # exact despite rounding
     rho_tau = float(np.asarray(rho(tau), dtype=float))
-    r_true = _curve_values(rho, xi)
-    r_app = _curve_values(rho_app, xi)
+    r_true = _eval_on_nodes(rho, xi)
+    r_app = _eval_on_nodes(rho_app, xi)
     if np.any(r_true <= 0) or np.any(r_app <= 0):
         raise DomainError("boundary curves must be positive on [0, tau]")
 
@@ -181,8 +168,8 @@ def price_gap_full(
     st = np.linspace(0.0, smax, n + 1)
     xi = np.clip(tau - st * st, 0.0, tau)
     xi[0] = tau
-    r_true = _curve_values(rho, xi)
-    r_app = _curve_values(rho_app, xi)
+    r_true = _eval_on_nodes(rho, xi)
+    r_app = _eval_on_nodes(rho_app, xi)
     if np.any(r_true <= 0) or np.any(r_app <= 0):
         raise DomainError("boundary curves must be positive on [0, tau]")
     lo = np.log(r_app / E)

@@ -23,9 +23,9 @@ interpolation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .core import (
     QuadratureConfig,
     TauGrid,
     _boole_weights,
+    find_root_bracketed,
 )
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "LogDomainError",
     "EtaPath",
     "build_mesh",
-    "g_eval",
     "big_f_eval",
     "solve_eta_at",
     "solve_boundary",
@@ -99,15 +99,12 @@ class EtaPath:
 
     etas[k] belongs to grid.taus[k+1]; node 0 carries no unknown.  Between
     tau_1 and the last solved node the path interpolates linearly; on
-    (0, tau_1) it follows the closed small-tau formula (or `near_expiry`
-    when a custom head is supplied, which tests use to build synthetic
-    paths).
+    (0, tau_1) it follows the closed small-tau formula.
     """
 
     grid: TauGrid
     params: MarketParams
     etas: list[float] = field(default_factory=list)
-    near_expiry: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.etas) > len(self.grid) - 1:
@@ -126,40 +123,30 @@ class EtaPath:
             raise DomainError("path already complete")
         self.etas.append(float(eta))
 
-    def _head(self, s: np.ndarray) -> np.ndarray:
-        if self.near_expiry is not None:
-            return np.asarray(self.near_expiry(s), dtype=float)
-        return eta_lowest_order(s, self.params)
+    def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Path at times s in [0, tau_next], where tau_next is the first
+        unsolved node, as base + slope * eta_next.
 
-    def eval_with_trial(self, s, trial_tau: float, trial_eta: float) -> np.ndarray:
-        """Path value at times s in [0, trial_tau], treating (trial_tau,
-        trial_eta) as the not-yet-committed next node."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        tau1 = self.grid.taus[1]
-        head = s < tau1
-        if head.any():
-            out[head] = self._head(np.maximum(s[head], 1e-300))
-        if (~head).any():
-            knots_t = np.append(self.grid.taus[1 : self.solved + 1], trial_tau)
-            knots_e = np.append(np.asarray(self.etas), trial_eta)
-            out[~head] = np.interp(s[~head], knots_t, knots_e)
-        return out
-
-
-def g_eval(path: EtaPath, eta_i: float, tau_i: float, theta: float) -> float:
-    """Scaled increment G = [eta_i - eta(tau_i sin^2 th) sin(th)] / cos(th).
-
-    theta must lie in [0, pi/2).  At theta = 0 the path term vanishes with
-    sin(theta) and G reduces to eta_i exactly.
-    """
-    if not (0.0 <= theta < math.pi / 2):
-        raise DomainError(f"theta must lie in [0, pi/2), got {theta}")
-    if theta == 0.0:
-        return eta_i
-    st = math.sin(theta)
-    eh = float(path.eval_with_trial(tau_i * st * st, tau_i, eta_i)[0])
-    return (eta_i - eh * st) / math.cos(theta)
+        Only the last mesh segment (tau_k, tau_next] depends on the not yet
+        committed value eta_next, and it does so linearly; the solved part
+        of the path gives slope 0.
+        """
+        s = np.asarray(s, dtype=float)
+        taus = self.grid.taus
+        k = self.solved
+        if not 1 <= k < len(taus) - 1:
+            raise DomainError("sampling needs a solved first node and an unsolved next node")
+        base = np.empty_like(s)
+        slope = np.zeros_like(s)
+        head = s < taus[1]
+        base[head] = eta_lowest_order(np.maximum(s[head], 1e-300), self.params)
+        inner = ~head & (s <= taus[k])
+        base[inner] = np.interp(s[inner], taus[1 : k + 1], self.etas)
+        last = s > taus[k]
+        w = (s[last] - taus[k]) / (taus[k + 1] - taus[k])
+        base[last] = self.etas[-1] * (1.0 - w)
+        slope[last] = w
+        return base, slope
 
 
 _theta_cache: dict[int, tuple[np.ndarray, ...]] = {}
@@ -167,44 +154,40 @@ _theta_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
 def _theta_nodes(n: int):
     """Quadrature nodes on [0, pi/2] with the last node pulled inside the
-    interval, plus the trig factors reused by every integrand evaluation."""
+    interval, as the trig factors sin, cos and tan reused by every
+    integrand evaluation, plus the weights."""
     cached = _theta_cache.get(n)
     if cached is None:
         theta = np.linspace(0.0, math.pi / 2.0, n + 1)
         theta[-1] = math.pi / 2.0 - (math.pi / 2.0) / (10.0 * n)
-        st = np.sin(theta)
-        ct = np.cos(theta)
-        tt = np.tan(theta)
         w = _boole_weights(n) * (2.0 * (math.pi / 2.0 / n) / 45.0)
-        cached = (theta, st, ct, tt, w)
+        cached = (np.sin(theta), np.cos(theta), np.tan(theta), w)
         if len(_theta_cache) < 64:
             _theta_cache[n] = cached
     return cached
 
 
 def big_f_eval(
-    path: EtaPath,
     eta_i: float,
     tau_i: float,
+    path,
     p: MarketParams,
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """The integral F at node tau_i for a trial value eta_i.
 
-    Closed Newton-Cotes on [0, pi/2] with the endpoint node shifted to
-    pi/2 - eps: the integrand's G tan(theta) factor is an indeterminate
-    0 * inf exactly at pi/2, but approaches a finite one-sided limit, so the
-    shifted node supplies the endpoint value.
+    path holds eta(tau_i sin^2 theta) at the quadrature nodes theta of the
+    cfg.finite_subintervals rule (EtaPath.sample gives it); a scalar stands
+    for a flat path.  Closed Newton-Cotes on [0, pi/2] with the endpoint
+    node shifted to pi/2 - eps: the integrand's G tan(theta) factor is an
+    indeterminate 0 * inf exactly at pi/2, but approaches a finite one-sided
+    limit, so the shifted node supplies the endpoint value.
     """
     if not (tau_i > 0 and math.isfinite(tau_i)):
         raise DomainError(f"tau_i must be positive, got {tau_i}")
     cfg = cfg or QuadratureConfig()
-    _, st, ct, tt, w = _theta_nodes(cfg.finite_subintervals)
-
-    s = tau_i * st * st
-    eh = path.eval_with_trial(s, tau_i, eta_i)
-    eh[0] = 0.0  # sin(0) kills the path term; avoids the log blow-up at s=0
-    G = (eta_i - eh * st) / ct
+    st, ct, tt, w = _theta_nodes(cfg.finite_subintervals)
+    G = (eta_i - path * st) / ct
     vals = np.exp(-p.r * tau_i * ct * ct - G * G) * (
         (p.sigma * math.sqrt(tau_i) / math.sqrt(2.0)) * st + G * tt
     )
@@ -221,23 +204,6 @@ def _log_argument(F: float, tau_i: float, p: MarketParams) -> float:
     )
 
 
-def _residual(path: EtaPath, tau_i: float, p: MarketParams, cfg: QuadratureConfig):
-    """Residual R(eta) = eta + sqrt(-ln A(eta)) with a continuous extension:
-    A >= 1 contributes sqrt-term 0, A <= 0 maps to +inf.  Roots of the
-    extension coincide with roots of the true residual because a root needs
-    -eta = sqrt(-ln A) > 0, i.e. A strictly inside (0, 1)."""
-
-    def R(eta: float) -> float:
-        F = big_f_eval(path, eta, tau_i, p, cfg)
-        A = _log_argument(F, tau_i, p)
-        if A <= 0.0:
-            return math.inf
-        neg_log = -math.log(A)
-        return eta + math.sqrt(neg_log) if neg_log > 0 else eta
-
-    return R
-
-
 def solve_eta_at(
     path: EtaPath,
     tau_i: float,
@@ -247,9 +213,10 @@ def solve_eta_at(
     """Value of eta at the next mesh node, given the path solved so far.
 
     The first positive node bypasses root finding and takes the closed
-    small-tau value.  Later nodes solve R(eta) = 0 by bisection on a
-    bracket around the previous node's value, widening geometrically up to
-    eight times if the sign change is not yet enclosed.
+    small-tau value.  Later nodes sample the path once and solve R(eta) = 0
+    with the bracketed root finder, on a bracket around the previous node's
+    value that widens geometrically up to eight times if the sign change is
+    not yet enclosed.
     """
     cfg = cfg or QuadratureConfig()
     i = path.solved + 1
@@ -262,52 +229,45 @@ def solve_eta_at(
     if i == 1:
         return float(eta_lowest_order(taus[1], p))
 
-    R = _residual(path, taus[i], p, cfg)
+    tau_i = float(taus[i])
+    st = _theta_nodes(cfg.finite_subintervals)[0]
+    base, slope = path.sample(tau_i * st * st)
+
+    @functools.cache
+    def R(eta: float) -> float:
+        """Residual eta + sqrt(-ln A(eta)) with a continuous extension:
+        A >= 1 contributes sqrt-term 0, A <= 0 maps to +inf.  Roots of the
+        extension coincide with roots of the true residual because a root
+        needs -eta = sqrt(-ln A) > 0, i.e. A strictly inside (0, 1)."""
+        A = _log_argument(big_f_eval(eta, tau_i, base + slope * eta, p, cfg), tau_i, p)
+        if A <= 0.0:
+            return math.inf
+        neg_log = -math.log(A)
+        return eta + math.sqrt(neg_log) if neg_log > 0 else eta
+
     prev = path.etas[-1]
     lo = prev - 1.0
     hi = min(prev + 1.0, -1e-12)
-    flo, fhi = R(lo), R(hi)
     for attempt in range(8):
-        if math.isfinite(flo) and flo * fhi <= 0:
+        if math.isfinite(R(lo)) and R(lo) * R(hi) <= 0:
             break
-        width = 2.0**attempt
-        lo -= width
-        if math.isinf(flo):
-            # A <= 0 means F too large; pushing eta downward shrinks F
-            flo = R(lo)
-        else:
-            flo = R(lo)
-        hi = min(hi + width, -1e-12)
-        fhi = R(hi)
+        lo -= 2.0**attempt
+        hi = min(hi + 2.0**attempt, -1e-12)
     else:
-        if math.isinf(flo) or math.isinf(fhi):
+        if math.isinf(R(lo)) or math.isinf(R(hi)):
             raise LogDomainError(
-                f"node {i} (tau={taus[i]:g}): log argument left (0,1) on "
-                f"[{lo:.6g}, {hi:.6g}]"
+                f"node {i} (tau={tau_i:g}): log argument left (0,1) on [{lo:.6g}, {hi:.6g}]"
             )
         raise BracketError(
-            f"node {i} (tau={taus[i]:g}): no sign change of the residual on "
-            f"[{lo:.6g}, {hi:.6g}]"
+            f"node {i} (tau={tau_i:g}): no sign change of the residual on [{lo:.6g}, {hi:.6g}]"
         )
 
-    fm = math.inf
-    mid = 0.5 * (lo + hi)
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = R(mid)
-        if abs(fm) <= 0.5 * cfg.root_tol or (hi - lo) < 1e-3 * cfg.root_tol:
-            break
-        if fm == 0.0:
-            break
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    if not math.isfinite(fm) or abs(fm) > cfg.root_tol:
+    eta = find_root_bracketed(R, lo, hi, cfg)
+    if not abs(R(eta)) <= cfg.root_tol:
         raise LogDomainError(
-            f"node {i} (tau={taus[i]:g}): converged point invalid, residual {fm!r}"
+            f"node {i} (tau={tau_i:g}): converged point invalid, residual {R(eta)!r}"
         )
-    return mid
+    return eta
 
 
 def solve_boundary(

@@ -214,8 +214,8 @@ def gamma_critical(cfg: QuadratureConfig | None = None) -> float:
     """Smallest gamma with max_zeta f2(zeta; gamma) <= pi.
 
     f2's maximum decreases in gamma, so this is the root of
-    f2_max(gamma) - pi located by bisection on a scanned bracket inside
-    (1e-4, 1).
+    f2_max(gamma) - pi, located by the bracketed root finder on a scanned
+    bracket inside (1e-4, 1).
     """
     cfg = cfg or QuadratureConfig()
 

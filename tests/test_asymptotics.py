@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from putboundary import (
-    AsymptoticMethod,
+    CLOSED_FORMS,
     DomainError,
     MarketParams,
     chen_chadam_alpha,
     eta_lowest_order,
-    rho_asymptotic,
     rho_chen_chadam,
     rho_ekk,
     rho_kk,
@@ -159,5 +158,6 @@ class TestSeriesExpansion:
 
 
 def test_dispatch_covers_all_tags(params):
-    for method in AsymptoticMethod:
-        assert 0 < rho_asymptotic(method, 1e-5, params) <= params.strike
+    assert list(CLOSED_FORMS) == ["kk", "ekk", "ssc-a", "chen-chadam", "zhu-asymptote"]
+    for fn in CLOSED_FORMS.values():
+        assert 0 < fn(1e-5, params) <= params.strike

@@ -18,7 +18,6 @@ from putboundary import (
     find_root_bracketed,
     integrate_newton_cotes,
     integrate_semi_infinite,
-    interp_linear,
     norm_cdf,
 )
 
@@ -134,9 +133,25 @@ class TestRootFinding:
             find_root_bracketed(lambda x: x * x + 1.0, 0.0, 1.0, CFG)
 
     def test_iteration_cap(self):
+        # a sign function gives interpolation nothing to use, so the bracket
+        # only halves and needs far more than three steps to close
         cfg = QuadratureConfig(root_tol=1e-14, max_iter=3)
         with pytest.raises(MaxIterationsError):
-            find_root_bracketed(lambda x: x - 1e-7, 0.0, 1e6, cfg)
+            find_root_bracketed(lambda x: math.copysign(1.0, x - 1e-7), 0.0, 1e6, cfg)
+
+    def test_infinite_endpoint_value(self):
+        """g = +inf past a pole, as the ssch residual is where its log
+        argument leaves (0, 1): bisection steps in until both ends are finite."""
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return 1.0 / (1.0 - x) - 3.0 if x < 1.0 else math.inf
+
+        got = find_root_bracketed(g, 0.0, 1.0, CFG)
+        assert got == pytest.approx(2.0 / 3.0, abs=CFG.root_tol)
+        assert calls[2] == 0.5  # the first step bisects
+        assert len(calls) < 20
 
     def test_residual_small_at_root(self):
         g = lambda x: math.cos(x) - x
@@ -147,27 +162,27 @@ class TestRootFinding:
 
 class TestInterpolation:
     def test_midpoint(self):
-        grid = TauGrid(np.array([0.0, 1.0]))
-        assert interp_linear(grid, [0.0, 2.0], 0.5) == pytest.approx(1.0, abs=1e-15)
+        curve = BoundaryCurve(TauGrid(np.array([0.0, 1.0])), np.array([0.5, 1.5]))
+        assert curve.value(0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_flat_segment(self):
-        grid = TauGrid(np.array([0.0, 1.0, 2.0]))
-        assert interp_linear(grid, [1.0, 3.0, 3.0], 1.5) == 3.0
+        curve = BoundaryCurve(TauGrid(np.array([0.0, 1.0, 2.0])), np.array([1.0, 3.0, 3.0]))
+        assert curve.value(1.5) == 3.0
 
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=8)
     def test_nodes_bit_exact(self, idx):
         taus = np.concatenate([[0.0], np.cumsum(np.linspace(0.1, 0.9, 7))])
         vals = np.sin(np.arange(8) * 1.7) + 2.0
-        grid = TauGrid(taus)
-        assert interp_linear(grid, vals, float(taus[idx])) == vals[idx]
+        curve = BoundaryCurve(TauGrid(taus), vals)
+        assert curve.value(float(taus[idx])) == vals[idx]
 
     def test_out_of_range(self):
-        grid = TauGrid(np.array([0.0, 1.0]))
+        curve = BoundaryCurve(TauGrid(np.array([0.0, 1.0])), np.array([1.0, 0.5]))
         with pytest.raises(DomainError):
-            interp_linear(grid, [0.0, 1.0], 1.5)
+            curve.value(1.5)
         with pytest.raises(DomainError):
-            interp_linear(grid, [0.0, 1.0], -0.1)
+            curve.value(-0.1)
 
 
 class TestTypes:

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from putboundary import (
+    BracketError,
     DomainError,
     EtaPath,
+    LogDomainError,
     MarketParams,
     MeshError,
     MeshKind,
@@ -13,11 +16,10 @@ from putboundary import (
     big_f_eval,
     build_mesh,
     eta_lowest_order,
-    g_eval,
     solve_boundary,
     solve_eta_at,
 )
-from putboundary.ssch import _log_argument
+from putboundary.ssch import _log_argument, _theta_nodes
 
 # long-horizon reference column for the iterative solver
 SSCH_TABLE = {
@@ -30,6 +32,23 @@ SSCH_TABLE = {
 }
 
 SMOKE = QuadratureConfig(finite_subintervals=252)  # reduced-fidelity profile
+
+
+def increment(path, eta_i, tau_i, theta):
+    """G = [eta_i - eta(tau_i sin^2 th) sin(th)] / cos(th) on the path
+    sampled with eta_i as the value at the next node tau_i."""
+    st = np.sin(theta)
+    base, slope = path.sample(tau_i * st * st)
+    return (eta_i - (base + slope * eta_i) * st) / np.cos(theta)
+
+
+def f_on_path(path, eta_i, tau_i, p, cfg=None):
+    """F at the next node for the trial eta_i, with the path sampled on the
+    nodes of the theta rule."""
+    n = (cfg or QuadratureConfig()).finite_subintervals
+    st = _theta_nodes(n)[0]
+    base, slope = path.sample(tau_i * st * st)
+    return big_f_eval(eta_i, tau_i, base + slope * eta_i, p, cfg)
 
 
 class TestMesh:
@@ -54,49 +73,58 @@ class TestPathAndMappings:
     def test_g_at_theta_zero(self, params):
         grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
         path = EtaPath(grid, params, [float(eta_lowest_order(grid.taus[1], params))])
-        assert g_eval(path, -1.25, 0.02, 0.0) == -1.25
+        assert increment(path, -1.25, 0.02, np.array([0.0]))[0] == -1.25
 
     def test_g_constant_path(self, params):
         """With a flat path eta == c the increment is c (1 - sin)/cos -> 0."""
         c = -0.8
-        grid = build_mesh(0.04, 2, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [c], near_expiry=lambda s: np.full_like(s, c))
-        for theta in (0.3, 1.0, 1.4):
-            want = c * (1 - math.sin(theta)) / math.cos(theta)
-            assert g_eval(path, c, 0.04, theta) == pytest.approx(want, rel=1e-12)
-        assert abs(g_eval(path, c, 0.04, math.pi / 2 - 1e-6)) < 1e-5
+        grid = build_mesh(0.04, 4, MeshKind.QUADRATIC, params)
+        path = EtaPath(grid, params, [c, c, c])
+        theta = np.array([0.3, 1.0, 1.4])
+        assert np.all(0.04 * np.sin(theta) ** 2 >= grid.taus[1])  # clear of the head formula
+        want = c * (1 - np.sin(theta)) / np.cos(theta)
+        assert increment(path, c, 0.04, theta) == pytest.approx(want, rel=1e-12)
+        assert abs(increment(path, c, 0.04, np.array([math.pi / 2 - 1e-6]))[0]) < 1e-5
 
     def test_g_against_precision_oracle(self, params):
         # grid [0, 0.005, 0.02]; node 1 holds the closed-form seed, the trial
-        # value sits at tau = 0.02; frozen from a 50-digit evaluation
+        # value sits at tau = 0.02; frozen from a 50-digit evaluation at
+        # theta = pi/4, node 2 of the n = 4 rule
         grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
         eta1 = float(eta_lowest_order(0.005, params))
         trial = float(eta_lowest_order(0.02, params))
         assert eta1 == pytest.approx(-1.4612273122883756, abs=1e-13)
-        got = g_eval(EtaPath(grid, params, [eta1]), trial, 0.02, math.pi / 4)
+        st, ct = _theta_nodes(4)[:2]
+        base, slope = EtaPath(grid, params, [eta1]).sample(0.02 * st * st)
+        got = (trial - (base[2] + slope[2] * trial) * st[2]) / ct[2]
         assert got == pytest.approx(-0.32314704296296677, abs=1e-12)
 
-    def test_g_rejects_bad_theta(self, params):
-        grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [-1.4])
-        with pytest.raises(DomainError):
-            g_eval(path, -1.2, 0.02, math.pi / 2)
+    def test_sample_matches_interpolation_with_trial(self, params):
+        """base + slope * eta is the head formula below tau_1 and linear
+        interpolation through the solved nodes and the trial node above."""
+        grid = build_mesh(0.1, 6, MeshKind.QUADRATIC, params)
+        etas = [float(eta_lowest_order(grid.taus[1], params)), -1.3, -1.25, -1.22]
+        path = EtaPath(grid, params, etas)
+        tau_i, trial = float(grid.taus[5]), -1.2
+        s = np.linspace(0.0, tau_i, 101)[1:]
+        base, slope = path.sample(s)
+        head = s < grid.taus[1]
+        want = np.interp(s, grid.taus[1:6], etas + [trial])
+        want[head] = eta_lowest_order(s[head], params)
+        assert base + slope * trial == pytest.approx(want, abs=1e-14)
+        assert np.all(slope[s <= grid.taus[4]] == 0.0)
 
     def test_f_flat_zero_path_closed_form(self):
         """G == 0 collapses F to 2 int (sigma sqrt(tau)/sqrt(2)) sin = sigma sqrt(2 tau)."""
         p = MarketParams(r=1e-12, sigma=0.3, strike=100.0)
-        grid = build_mesh(0.04, 2, MeshKind.UNIFORM, p)
-        path = EtaPath(grid, p, [], near_expiry=lambda s: np.zeros_like(s))
-        got = big_f_eval(path, 0.0, 0.04, p)
+        got = big_f_eval(0.0, 0.04, 0.0, p)
         assert got == pytest.approx(p.sigma * math.sqrt(2 * 0.04), abs=1e-10)
 
     def test_f_tau_dependence_collapses_like_sqrt_tau(self, params):
         # with a frozen path shape only the sigma sqrt(tau) sin-term and the
         # e^{-r tau cos^2} damping depend on tau, both O(sqrt(tau)) and O(tau)
-        grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [], near_expiry=lambda s: np.full_like(s, -1.0))
-        f_a = big_f_eval(path, -1.0, 1e-6, params)
-        f_b = big_f_eval(path, -1.0, 1e-10, params)
+        f_a = big_f_eval(-1.0, 1e-6, -1.0, params)
+        f_b = big_f_eval(-1.0, 1e-10, -1.0, params)
         bound = params.sigma * math.sqrt(2.0) * (math.sqrt(1e-6) + math.sqrt(1e-10))
         assert abs(f_a - f_b) < bound
 
@@ -105,7 +133,7 @@ class TestPathAndMappings:
         grid = build_mesh(0.01, 2, MeshKind.QUADRATIC, params)
         eta1 = float(eta_lowest_order(0.0025, params))
         trial = float(eta_lowest_order(0.01, params))
-        got = big_f_eval(EtaPath(grid, params, [eta1]), trial, 0.01, params)
+        got = f_on_path(EtaPath(grid, params, [eta1]), trial, 0.01, params)
         assert got == pytest.approx(-0.7958124774202444, abs=1e-6)
 
     def test_path_invariants(self, params):
@@ -130,7 +158,7 @@ class TestNodeSolve:
         path = EtaPath(grid, params)
         path.append(solve_eta_at(path, float(grid.taus[1]), params, cfg))
         eta2 = solve_eta_at(path, float(grid.taus[2]), params, cfg)
-        F = big_f_eval(path, eta2, float(grid.taus[2]), params, cfg)
+        F = f_on_path(path, eta2, float(grid.taus[2]), params, cfg)
         A = _log_argument(F, float(grid.taus[2]), params)
         residual = eta2 + math.sqrt(-math.log(A))
         assert abs(residual) <= cfg.root_tol
@@ -189,3 +217,15 @@ class TestBoundarySolve:
         )
         target = params.strike * params.sigma
         assert abs(ratio - target) / target < 0.15
+
+    def test_known_defect_names_the_node(self):
+        """For gamma > 1 eta reaches 0 before long horizons, and the solver
+        admits only eta < 0: at gamma = 3, sigma = 0.25 it stops near
+        tau = 4.3 with a typed error naming the node."""
+        p = MarketParams(r=0.5 * 3 * 0.25**2, sigma=0.25, strike=100.0)
+        with pytest.raises((BracketError, LogDomainError)) as err:
+            solve_boundary(p, 5.0, 100)
+        node = re.search(r"failed at node (\d+)", str(err.value))
+        assert node is not None
+        tau = float(build_mesh(5.0, 100, MeshKind.QUADRATIC, p).taus[int(node.group(1))])
+        assert 4.0 < tau < 4.6
