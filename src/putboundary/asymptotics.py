@@ -46,15 +46,20 @@ def eta_lowest_order(tau, p: MarketParams):
     rho = E exp(-(r - sigma^2/2) tau + sigma sqrt(2 tau) eta).
 
     Accepts scalars or arrays; defined while (2r/sigma) sqrt(2 pi tau) e^{r tau} < 1.
+    A scalar is evaluated with math and returned as a float, an array with
+    numpy; both run the one formula below.  A scalar tau must be positive.
     """
-    t = np.asarray(tau, dtype=float)
-    arg = (2.0 * p.r / p.sigma) * np.sqrt(2.0 * math.pi * t) * np.exp(p.r * t)
-    if np.any(arg >= 1.0):
+    scalar = np.isscalar(tau)
+    xp = math if scalar else np
+    t = float(tau) if scalar else np.asarray(tau, dtype=float)
+    if scalar and not t > 0:
+        raise DomainError(f"tau must be positive, got {tau}")
+    arg = (2.0 * p.r / p.sigma) * xp.sqrt(2.0 * math.pi * t) * xp.exp(p.r * t)
+    if (arg >= 1.0) if scalar else np.any(arg >= 1.0):
         raise DomainError(
             "log argument (2r/sigma) sqrt(2 pi tau) e^(r tau) >= 1; tau too large"
         )
-    out = -np.sqrt(-np.log(arg))
-    return float(out) if np.isscalar(tau) else out
+    return -xp.sqrt(-xp.log(arg))
 
 
 def rho_kk(tau: float, p: MarketParams) -> float:

@@ -49,6 +49,10 @@ __all__ = [
     "boundary_rel_err",
 ]
 
+#: outer nodes whose inner integrals price_gap_full evaluates as one block;
+#: its temporaries hold GAP_BLOCK_ROWS x (finite_subintervals + 1) floats
+GAP_BLOCK_ROWS = 16
+
 
 class DegenerateDenominatorError(DomainError):
     """The premium of early exercise over the European floor underflowed."""
@@ -153,6 +157,12 @@ def price_gap_full(
     the sqrt(tau - xi) substitution.  Kept independent of
     price_gap_at_boundary on purpose; the two must agree when S sits on the
     true boundary.
+
+    Cost: each curve is called once on all n + 1 outer nodes when it takes
+    arrays, and once per node when it only takes scalars (such as a closed
+    form wrapped to return the strike at tau == 0).  The inner integrals run
+    in fixed blocks of GAP_BLOCK_ROWS outer nodes, each one 2-D numpy
+    expression, so peak memory stays flat in n.
     """
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
@@ -175,24 +185,25 @@ def price_gap_full(
     lo = np.log(r_app / E)
     hi = np.log(r_true / E)
 
+    # the inner rule for GAP_BLOCK_ROWS outer nodes at once, one row per node:
+    # abscissae j*step + a with the last set to b, as np.linspace builds them
     w_in = _boole_weights(n) / 45.0 * 2.0
-    outer_vals = np.empty(n + 1)
-    outer_vals[0] = 0.0
-    for k in range(1, n + 1):
-        wgt = st[k] * st[k]  # tau - xi
-        a, b = lo[k], hi[k]
-        if a == b:
-            outer_vals[k] = 0.0
-            continue
-        sg = np.linspace(a, b, n + 1)
+    j = np.arange(n + 1, dtype=float)
+    outer_vals = np.zeros(n + 1)
+    for k0 in range(1, n + 1, GAP_BLOCK_ROWS):
+        rows = slice(k0, min(k0 + GAP_BLOCK_ROWS, n + 1))
+        a, b = lo[rows], hi[rows]
+        wgt = st[rows] * st[rows]  # tau - xi
+        sg = j * ((b - a) / n)[:, None] + a[:, None]
+        sg[:, -1] = b
         z = x - sg
-        var = p.sigma * p.sigma * wgt
-        inner_vals = (
-            np.exp(-(z * z) / (2.0 * var) + consts.alpha_p * z)
-            / math.sqrt(2.0 * math.pi * var)
+        var = (p.sigma * p.sigma * wgt)[:, None]
+        inner_vals = np.exp(-(z * z) / (2.0 * var) + consts.alpha_p * z) / np.sqrt(
+            2.0 * math.pi * var
         )
-        inner = (b - a) / n * float(np.dot(w_in, inner_vals))
-        outer_vals[k] = 2.0 * st[k] * math.exp(consts.beta_p * wgt) * abs(inner)
+        inner = (b - a) / n * (inner_vals @ w_in)
+        inner[a == b] = 0.0
+        outer_vals[rows] = 2.0 * st[rows] * np.exp(consts.beta_p * wgt) * np.abs(inner)
     w_out = _boole_weights(n) * (2.0 * (smax / n) / 45.0)
     return p.r * E * float(np.dot(w_out, outer_vals))
 

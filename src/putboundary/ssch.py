@@ -216,7 +216,7 @@ def solve_eta_at(
     small-tau value.  Later nodes sample the path once and solve R(eta) = 0
     with the bracketed root finder, on a bracket around the previous node's
     value that widens geometrically up to eight times if the sign change is
-    not yet enclosed.
+    not yet enclosed; every bracket tried is tested for a sign change.
     """
     cfg = cfg or QuadratureConfig()
     i = path.solved + 1
@@ -248,11 +248,12 @@ def solve_eta_at(
     prev = path.etas[-1]
     lo = prev - 1.0
     hi = min(prev + 1.0, -1e-12)
-    for attempt in range(8):
+    for widenings in range(9):
+        if widenings:
+            lo -= 2.0 ** (widenings - 1)
+            hi = min(hi + 2.0 ** (widenings - 1), -1e-12)
         if math.isfinite(R(lo)) and R(lo) * R(hi) <= 0:
             break
-        lo -= 2.0**attempt
-        hi = min(hi + 2.0**attempt, -1e-12)
     else:
         if math.isinf(R(lo)) or math.isinf(R(hi)):
             raise LogDomainError(

@@ -84,3 +84,47 @@ def black_scholes_put_mp(S, E, r, sigma, tau, dps: int = 30) -> float:
         d2 = d1 - sigma * mp.sqrt(tau)
         ncdf = lambda x: (1 + erf_series(x / mp.sqrt(2), dps)) / 2
         return float(E * mp.exp(-r * tau) * ncdf(-d2) - S * ncdf(-d1))
+
+
+def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
+    """pricing.price_gap_full as one Python loop over the outer nodes, each
+    inner integral on its own np.linspace grid: the reference for the
+    blocked evaluation in the package."""
+    from putboundary.core import QuadratureConfig, _boole_weights, _eval_on_nodes
+    from putboundary.pricing import PriceTransformConsts
+
+    cfg = cfg or QuadratureConfig()
+    n = cfg.finite_subintervals
+    E = p.strike
+    consts = PriceTransformConsts.from_params(p)
+    x = math.log(S / E)
+
+    smax = math.sqrt(tau)
+    st = np.linspace(0.0, smax, n + 1)
+    xi = np.clip(tau - st * st, 0.0, tau)
+    xi[0] = tau
+    r_true = _eval_on_nodes(rho, xi)
+    r_app = _eval_on_nodes(rho_app, xi)
+    lo = np.log(r_app / E)
+    hi = np.log(r_true / E)
+
+    w_in = _boole_weights(n) / 45.0 * 2.0
+    outer_vals = np.empty(n + 1)
+    outer_vals[0] = 0.0
+    for k in range(1, n + 1):
+        wgt = st[k] * st[k]  # tau - xi
+        a, b = lo[k], hi[k]
+        if a == b:
+            outer_vals[k] = 0.0
+            continue
+        sg = np.linspace(a, b, n + 1)
+        z = x - sg
+        var = p.sigma * p.sigma * wgt
+        inner_vals = (
+            np.exp(-(z * z) / (2.0 * var) + consts.alpha_p * z)
+            / math.sqrt(2.0 * math.pi * var)
+        )
+        inner = (b - a) / n * float(np.dot(w_in, inner_vals))
+        outer_vals[k] = 2.0 * st[k] * math.exp(consts.beta_p * wgt) * abs(inner)
+    w_out = _boole_weights(n) * (2.0 * (smax / n) / 45.0)
+    return p.r * E * float(np.dot(w_out, outer_vals))

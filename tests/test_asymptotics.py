@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,3 +162,57 @@ def test_dispatch_covers_all_tags(params):
     assert list(CLOSED_FORMS) == ["kk", "ekk", "ssc-a", "chen-chadam", "zhu-asymptote"]
     for fn in CLOSED_FORMS.values():
         assert 0 < fn(1e-5, params) <= params.strike
+
+
+AGREEMENT_MARKETS = [
+    MarketParams(r=0.1, sigma=0.3, strike=100.0),
+    MarketParams(r=0.05, sigma=0.2, strike=1.0),
+    MarketParams(r=0.15, sigma=0.4, strike=1.0),
+    MarketParams(r=0.02, sigma=0.5, strike=50.0),
+]
+
+ETA_EDGE_MESSAGE = "log argument (2r/sigma) sqrt(2 pi tau) e^(r tau) >= 1; tau too large"
+
+
+class TestScalarArrayAgreement:
+    @pytest.mark.parametrize("p", AGREEMENT_MARKETS)
+    def test_eta_float_matches_array(self, p):
+        """The math (float) and numpy (array) evaluations of eta agree to
+        2 ulp while eta^2 = -ln(arg) >= 1.  Nearer the domain edge
+        sqrt(-ln arg) amplifies a one-ulp difference of exp or log by
+        1/eta^2, so there the bound is 2 ulp * (1 + 1/eta^2)."""
+        edge = (p.sigma / (2.0 * p.r)) ** 2 / (2.0 * math.pi)  # ignores e^(r tau) > 1
+        taus, scalar = [], []
+        for t in np.geomspace(1e-12, edge, 4000).tolist():
+            try:
+                v = eta_lowest_order(t, p)
+            except DomainError:
+                break  # arg grows with tau
+            assert type(v) is float
+            taus.append(t)
+            scalar.append(v)
+        assert len(taus) > 3000
+        for v, want in zip(scalar, eta_lowest_order(np.array(taus), p).tolist()):
+            scale = 1.0 if want**2 >= 1.0 else 1.0 + 1.0 / want**2
+            assert abs(v - want) <= 2.0 * math.ulp(want) * scale
+
+    @pytest.mark.parametrize("fn", list(CLOSED_FORMS.values()))
+    def test_closed_forms_return_python_floats(self, params, fn):
+        for tau in (1e-6, 1e-3, np.float64(1e-3)):
+            assert type(fn(tau, params)) is float
+
+    @pytest.mark.parametrize("tau", [10.0, np.float64(10.0), np.array([1e-3, 10.0])])
+    def test_eta_domain_message(self, params, tau):
+        with pytest.raises(DomainError) as err:
+            eta_lowest_order(tau, params)
+        assert str(err.value) == ETA_EDGE_MESSAGE
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-3, math.nan])
+    def test_eta_rejects_nonpositive_scalar(self, params, tau):
+        with pytest.raises(DomainError):
+            eta_lowest_order(tau, params)
+
+    def test_ssc_analytic_domain_message(self, params):
+        with pytest.raises(DomainError) as err:
+            rho_ssc_analytic(10.0, params)
+        assert str(err.value) == ETA_EDGE_MESSAGE

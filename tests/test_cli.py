@@ -184,6 +184,41 @@ class TestMispricingCommand:
         assert eps[0] < 5e-4
 
 
+#: stdout of `putboundary mispricing --benchmark ssch --E 1 --points 6 --m 60`
+#: at the default precision; faster pricing code must print these bytes unchanged
+MISPRICING_GOLDEN = {
+    "ssc-a": (
+        "tau,eps,err\n"
+        "1.66667e-06,0,0.0954459\n"
+        "8.57253e-06,2.21345e-05,0.0197572\n"
+        "4.4093e-05,-6.23473e-05,0.01457\n"
+        "0.000226793,-0.000209958,0.0247843\n"
+        "0.00116652,-0.000692716,0.0378247\n"
+        "0.006,-0.00242065,0.0603643\n"
+    ),
+    "kk": (
+        "tau,eps,err\n"
+        "1.66667e-06,-4.48141e-05,0.067197\n"
+        "8.57253e-06,-8.58891e-05,0.0474694\n"
+        "4.4093e-05,-0.000324062,0.0673692\n"
+        "0.000226793,-0.000850032,0.0839293\n"
+        "0.00116652,-0.00229905,0.104835\n"
+        "0.006,-0.00676963,0.139356\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(MISPRICING_GOLDEN))
+def test_mispricing_golden_stdout(capsys, method):
+    code, out, _ = run_cli(
+        capsys,
+        "mispricing", "--benchmark", "ssch", "--method", method,
+        "--E", "1", "--points", "6", "--m", "60",
+    )
+    assert code == EXIT_OK
+    assert out == MISPRICING_GOLDEN[method]
+
+
 class TestOutputContract:
     def test_byte_determinism(self, capsys):
         args = ("compare", "--method", "ekk,zhu", "--benchmark", "ekk",

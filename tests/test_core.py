@@ -20,6 +20,7 @@ from putboundary import (
     integrate_semi_infinite,
     norm_cdf,
 )
+from putboundary.core import norm_cdf_array
 
 import oracles
 
@@ -47,6 +48,15 @@ class TestNormCdf:
         vals = np.array([norm_cdf(x) for x in xs])
         assert np.all(np.diff(vals) >= 0)
         assert vals.min() >= 0.0 and vals.max() <= 1.0
+
+    def test_array_form_is_elementwise_equal(self):
+        x = np.concatenate(
+            [np.linspace(-40.0, 40.0, 4001), [40.0, -40.0, np.inf, -np.inf, np.nan, -0.0, 1e-300]]
+        )
+        got = norm_cdf_array(x)
+        want = np.array([norm_cdf(v) for v in x])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestNewtonCotes:

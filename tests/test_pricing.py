@@ -133,6 +133,28 @@ class TestGapFull:
         assert abs(full - direct) < 1e-6 * params.strike
 
 
+    @pytest.mark.parametrize("n", [4, 252, 1000])
+    def test_blocked_matches_row_loop(self, params, short_curve, n):
+        """The blocked inner quadrature reproduces the row-by-row loop, with
+        S on and off the boundary, and with curves that coincide for
+        xi <= 0.03 so that those rows are exactly zero."""
+        cfg = QuadratureConfig(finite_subintervals=n)
+        app = asymptote_fn(params)
+        partial = lambda t: np.where(np.asarray(t) <= 0.03, 1.0, 0.98) * short_curve.value(t)
+        assert partial(0.02) == short_curve.value(0.02) and partial(0.04) != short_curve.value(0.04)
+        cases = [
+            (app, float(short_curve.value(0.01)), 0.01),
+            (app, 95.0, 0.1),
+            (partial, float(short_curve.value(0.1)), 0.1),
+            (partial, 110.0, 0.1),
+        ]
+        for rho_app, S, tau in cases:
+            want = oracles.price_gap_full_rows(short_curve, rho_app, S, tau, params, cfg)
+            got = price_gap_full(short_curve, rho_app, S, tau, params, cfg)
+            assert want > 0.0
+            assert abs(got - want) <= 1e-13 * want
+
+
 class TestErrorMetrics:
     def test_zero_for_identical_curves(self, params, short_curve):
         assert mispricing_err(short_curve, short_curve, 0.1, params) == 0.0

@@ -19,6 +19,7 @@ from putboundary import (
     solve_boundary,
     solve_eta_at,
 )
+from putboundary import ssch
 from putboundary.ssch import _log_argument, _theta_nodes
 
 # long-horizon reference column for the iterative solver
@@ -162,6 +163,17 @@ class TestNodeSolve:
         A = _log_argument(F, float(grid.taus[2]), params)
         residual = eta2 + math.sqrt(-math.log(A))
         assert abs(residual) <= cfg.root_tol
+
+    def test_root_in_last_widened_bracket(self, params, monkeypatch):
+        """With R(eta) = eta + 10 and the previous eta at -150, the first
+        bracket to enclose the root -10 is the one after the eighth
+        widening, [-406, -1e-12]."""
+        monkeypatch.setattr(ssch, "big_f_eval", lambda *args: 0.0)
+        monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: math.exp(-100.0))
+        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
+        path = EtaPath(grid, params, [-150.0])
+        eta = solve_eta_at(path, float(grid.taus[2]), params)
+        assert eta == pytest.approx(-10.0, abs=1e-9)
 
     def test_wrong_node_rejected(self, params):
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
