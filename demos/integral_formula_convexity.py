@@ -28,8 +28,8 @@ print()
 
 print("kernels at a few frequencies (gamma = %.4f):" % p.gamma)
 for zeta in (0.0, 0.5, 1.0, 5.0, 50.0):
-    kv = zhu_kernels(zeta, p)
-    print(f"  zeta={zeta:5g}: f1={kv.f1:9.6f}  f2={kv.f2:9.6f}")
+    f1, f2 = zhu_kernels(zeta, p)
+    print(f"  zeta={zeta:5g}: f1={f1:9.6f}  f2={f2:9.6f}")
 print()
 
 print("second derivative of the boundary (positive = convex):")

@@ -20,7 +20,6 @@ from .core import (
     TauGrid,
     find_root_bracketed,
     integrate_newton_cotes,
-    integrate_semi_infinite,
     norm_cdf,
 )
 from .asymptotics import (
@@ -35,7 +34,6 @@ from .asymptotics import (
 )
 from .zhu import (
     SmallTauSubstitution,
-    ZhuKernelValue,
     f2_max,
     gamma_critical,
     rho_zhu,

@@ -143,12 +143,19 @@ def _solver_curve(method: str, p: MarketParams, T: float, args):
 
 
 def _method_evaluator(method: str, p: MarketParams, T: float, args):
-    """Callable tau -> rho; solver methods are solved once up front."""
+    """Callable tau -> rho; solver methods are solved once up front.  The
+    zhu callable also takes an array of taus."""
     if method in CLOSED_FORMS:
         fn = CLOSED_FORMS[method]
         return lambda tau: p.strike if tau == 0.0 else fn(tau, p)
     if method == "zhu":
-        return lambda tau: p.strike if tau == 0.0 else rho_zhu(tau, p)
+
+        def zhu(tau):
+            t = np.asarray(tau, dtype=float)
+            rho = np.where(t == 0.0, p.strike, rho_zhu(np.where(t == 0.0, 1.0, t), p))
+            return float(rho) if rho.ndim == 0 else rho
+
+        return zhu
     curve = _solver_curve(method, p, T, args)
     return lambda tau: float(curve.value(tau))
 

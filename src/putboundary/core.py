@@ -3,15 +3,14 @@
 Everything downstream (closed-form approximations, the iterative
 integral-equation solver, the PSOR benchmark, price-gap integrals) is built
 on the primitives in this module: the normal CDF, composite Newton-Cotes
-quadrature, a truncated semi-infinite rule with a tail check, and Brent's
-bracketed root finder.  All functions are pure and safe to call
-concurrently.
+quadrature and Brent's bracketed root finder.  All functions are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "QuadratureConfig",
     "norm_cdf",
     "integrate_newton_cotes",
-    "integrate_semi_infinite",
     "find_root_bracketed",
 ]
 
@@ -168,9 +166,9 @@ class QuadratureConfig:
     """Knobs for the quadrature and root-finding kernels.
 
     finite_subintervals must be a multiple of 4 because the composite rule
-    consumes panels of four subintervals (closed five-point Newton-Cotes).
-    semi_inf_truncation is the upper limit substituted for infinity; callers
-    integrating Gaussian-damped integrands typically override it per call.
+    consumes panels of four subintervals (closed five-point Newton-Cotes);
+    the integral formula uses it as its node count.  semi_inf_truncation is
+    the least upper limit substituted for infinity in that formula.
     """
 
     finite_subintervals: int = 1000
@@ -187,12 +185,6 @@ class QuadratureConfig:
             raise DomainError("semi_inf_truncation must be positive")
         if not (self.root_tol > 0 and self.max_iter > 0):
             raise DomainError("tolerances and iteration caps must be positive")
-
-    def with_truncation(self, z: float) -> "QuadratureConfig":
-        return replace(self, semi_inf_truncation=z)
-
-    def with_subintervals(self, n: int) -> "QuadratureConfig":
-        return replace(self, finite_subintervals=n)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -262,34 +254,6 @@ def integrate_newton_cotes(f, a: float, b: float, cfg: QuadratureConfig) -> floa
         raise QuadratureNodeError(float(x[i]), float(y[i]))
     h = (b - a) / n
     return float((2.0 * h / 45.0) * np.dot(_boole_weights(n), y))
-
-
-def integrate_semi_infinite(f, cfg: QuadratureConfig) -> float:
-    """Integral of f over [0, inf) by truncating at cfg.semi_inf_truncation.
-
-    A tail bound is estimated from the decay rate of |f| just past the
-    truncation point; the result is only reported when that bound stays
-    below 10 * root_tol, otherwise TailTooHeavyError signals that the
-    truncation must grow.
-    """
-    z = cfg.semi_inf_truncation
-    result = integrate_newton_cotes(f, 0.0, z, cfg)
-
-    f0 = abs(float(f(z)))
-    f1 = abs(float(f(1.1 * z)))
-    if f0 == 0.0 and f1 == 0.0:
-        tail = 0.0
-    elif f1 >= f0:
-        tail = math.inf
-    else:
-        rate = math.log(f0 / f1) / (0.1 * z) if f1 > 0 else math.inf
-        tail = f0 / rate if math.isfinite(rate) else 0.0
-    if not tail < 10.0 * cfg.root_tol:
-        raise TailTooHeavyError(
-            f"tail bound {tail:.3e} beyond Z={z:g} exceeds {10 * cfg.root_tol:.1e}; "
-            "increase the truncation"
-        )
-    return result
 
 
 def find_root_bracketed(g, lo: float, hi: float, cfg: QuadratureConfig) -> float:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,12 @@ from .core import (
     BracketError,
     MarketParams,
     QuadratureConfig,
+    QuadratureNodeError,
+    TailTooHeavyError,
     find_root_bracketed,
-    integrate_semi_infinite,
 )
 
 __all__ = [
-    "ZhuKernelValue",
     "SmallTauSubstitution",
     "zhu_kernels",
     "rho_zhu",
@@ -48,100 +47,119 @@ __all__ = [
 #: below this time to maturity the integral is handed over to the asymptote
 SMALL_TAU_CUTOFF = 1e-6
 
-#: target zeta resolution for the oscillation-free but sharply peaked integrand
-_ZETA_STEP = 0.02
+#: lower end of the zeta grid; below it the integrand is O(zeta^2), so the
+#: part left out is O(1e-18)
+_ZETA_MIN = 1e-6
 
 
 class SmallTauSubstitution(UserWarning):
     """Emitted when the integral is replaced by its small-tau asymptote."""
 
 
-@dataclass(frozen=True)
-class ZhuKernelValue:
-    """Kernel pair (f1, f2) at one zeta; f2 lies in [0, pi] when gamma is
-    at or above the critical value."""
+def zhu_kernels(zeta, p: MarketParams):
+    """Kernel pair (f1, f2) at zeta >= 0, a scalar or an array; f2 lies in
+    [0, pi] when gamma is at or above the critical value.
 
-    f1: float
-    f2: float
-
-
-def _kernels_from_gamma(zeta: np.ndarray, gamma: float):
-    a = 0.5 * (1.0 + gamma)
-    b = 0.5 * (1.0 - gamma)
-    a2z2 = a * a + zeta * zeta
-    lg = np.log(np.sqrt(a2z2) / gamma)
-    at = np.arctan(zeta / a)
-    den = b * b + zeta * zeta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1 = (b * lg + zeta * at) / den
-        f2 = (zeta * lg - b * at) / den
-    if b == 0.0:
-        # gamma = 1: the 0/0 point zeta = 0 has the continuous limits
-        # f1 -> arctan(z)/z -> 1, f2 -> ln(sqrt(1+z^2))/z -> 0
-        f1 = np.where(den == 0.0, 1.0, f1)
-        f2 = np.where(den == 0.0, 0.0, f2)
-    return f1, f2
-
-
-def zhu_kernels(zeta: float, p: MarketParams) -> ZhuKernelValue:
-    """Kernel values at a single zeta >= 0.
-
-    The pair is singular only when b = 0 (gamma = 1) and zeta = 0
+    A scalar zeta gives a pair of floats, an array a pair of arrays.  The
+    pair is singular only when b = 0 (gamma = 1) and zeta = 0
     simultaneously, where the denominator b^2 + zeta^2 vanishes.
     """
-    if zeta < 0:
-        raise DomainError(f"zeta must be nonnegative, got {zeta}")
-    if p.b == 0.0 and zeta == 0.0:
+    z = np.asarray(zeta, dtype=float)
+    if np.any(z < 0):
+        raise DomainError(f"zeta must be nonnegative, got {float(z.min())}")
+    if p.b == 0.0 and np.any(z == 0.0):
         raise DomainError("kernels singular at zeta=0 when gamma=1 (b=0)")
-    f1, f2 = _kernels_from_gamma(np.asarray(zeta, dtype=float), p.gamma)
-    return ZhuKernelValue(float(f1), float(f2))
+    a, b = p.a, p.b
+    lg = np.log(np.sqrt(a * a + z * z) / p.gamma)
+    at = np.arctan(z / a)
+    den = b * b + z * z
+    f1 = (b * lg + z * at) / den
+    f2 = (z * lg - b * at) / den
+    return (float(f1), float(f2)) if z.ndim == 0 else (f1, f2)
 
 
-def _boundary_integrand(p: MarketParams, tau: float):
-    a = p.a
-    gamma = p.gamma
-
-    def f(zeta):
-        z = np.asarray(zeta, dtype=float)
-        f1, f2 = _kernels_from_gamma(z, gamma)
-        a2z2 = a * a + z * z
-        return z * np.exp(-tau * 0.5 * p.sigma**2 * a2z2) / a2z2 * np.exp(-f1) * np.sin(f2)
-
-    return f
-
-
-def _tuned_config(
-    p: MarketParams, tau: float, cfg: QuadratureConfig, sigmas: float = 8.0
-) -> QuadratureConfig:
-    # Gaussian damping reaches e^(-sigmas^2/2) at Z = sigmas/(sigma sqrt(tau));
-    # resolve the peak near zeta ~ a with a fixed step so small tau does not
-    # starve the low-zeta region of nodes.
-    z = max(cfg.semi_inf_truncation, sigmas / (p.sigma * math.sqrt(tau)))
-    n = max(cfg.finite_subintervals, 4 * math.ceil(z / (4.0 * _ZETA_STEP)))
-    return cfg.with_truncation(z).with_subintervals(n)
+def _check_tail(near, far, z: float, taus: np.ndarray, cfg: QuadratureConfig):
+    # near, far = |f| at Z and 1.1 Z; past Z, f decays at the rate seen between them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.log(near / far) / (0.1 * z)
+        tail = np.where(far < near, near / rate, np.where(far == 0.0, 0.0, np.inf))
+    bad = ~(tail < 10.0 * cfg.root_tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TailTooHeavyError(
+            f"tail bound {tail[i]:.3e} beyond Z={z:g} at tau={taus[i]:g} exceeds "
+            f"{10 * cfg.root_tol:.1e}; increase the truncation"
+        )
 
 
-def rho_zhu(tau: float, p: MarketParams, cfg: QuadratureConfig | None = None) -> float:
-    """Boundary level from the closed integral formula.
+def _damped_integral(
+    taus: np.ndarray, p: MarketParams, cfg: QuadratureConfig, z_gauss: float, power: int
+) -> np.ndarray:
+    """int_0^inf zeta (a^2+zeta^2)^(power-1) e^{-tau sigma^2/2 (a^2+zeta^2)}
+    e^{-f1} sin f2 dzeta for each tau, by the trapezoid rule in s = ln zeta.
 
-    For tau below SMALL_TAU_CUTOFF the fixed-truncation quadrature becomes
-    unreliable (the integrand decays on the scale 1/(sigma sqrt(tau))), so
-    the exact small-tau asymptote is substituted and a SmallTauSubstitution
-    warning flags it.
+    The integrand is analytic and decays at both ends in s, so the rule
+    converges exponentially in the node count.  The grid runs to
+    Z = max(cfg.semi_inf_truncation, z_gauss) whatever tau is: the kernel is
+    tabulated once and each tau costs one damping row and one row sum.
     """
-    if not (tau > 0 and math.isfinite(tau)):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+    z_max = max(cfg.semi_inf_truncation, z_gauss)
+    s, h = np.linspace(
+        math.log(_ZETA_MIN), math.log(z_max), cfg.finite_subintervals, retstep=True
+    )
+    zeta = np.exp(s)
+    zeta = np.append(zeta, 1.1 * zeta[-1])  # the last node Z and the tail probe
+    f1, f2 = zhu_kernels(zeta, p)
+    q = p.a * p.a + zeta * zeta
+    g = zeta * q ** (power - 1) * np.exp(-f1) * np.sin(f2)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureNodeError(float(zeta[i]), float(g[i]))
+    # dzeta = zeta ds; trapezoid weights h with halves at both ends
+    kernel = g[:-1] * zeta[:-1] * h
+    kernel[[0, -1]] *= 0.5
+    damp = np.exp(np.multiply.outer(-0.5 * p.sigma**2 * taus, q))
+    _check_tail(
+        np.abs(g[-2] * damp[:, -2]), np.abs(g[-1] * damp[:, -1]), float(zeta[-2]), taus, cfg
+    )
+    return np.sum(kernel * damp[:, :-1], axis=-1)
+
+
+def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
+    """Boundary level from the closed integral formula, at a scalar tau or
+    elementwise on an array of taus.
+
+    The integral is the trapezoid rule in s = ln zeta on cfg.finite_subintervals
+    nodes from zeta = 1e-6 to max(cfg.semi_inf_truncation,
+    8/(sigma sqrt(SMALL_TAU_CUTOFF))).  The grid does not depend on tau, so
+    the cost is flat in tau and a scalar call equals its element of an array
+    call bit for bit.  For tau below SMALL_TAU_CUTOFF the Gaussian damping
+    would outrun that grid, so the exact small-tau asymptote is substituted
+    in those elements and one SmallTauSubstitution warning flags them.
+    Raises DomainError for any tau <= 0, NaN or inf and TailTooHeavyError
+    when the truncated tail of any tau exceeds 10 * cfg.root_tol.
+    """
+    t = np.asarray(tau, dtype=float).ravel()
+    ok = (t > 0) & np.isfinite(t)
+    if not ok.all():
+        raise DomainError(f"tau must be positive and finite, got {t[~ok][0]}")
     cfg = cfg or QuadratureConfig()
-    if tau < SMALL_TAU_CUTOFF:
+    small = t < SMALL_TAU_CUTOFF
+    out = np.empty_like(t)
+    if small.any():
         warnings.warn(
-            f"tau={tau:g} below {SMALL_TAU_CUTOFF:g}: using the small-tau asymptote",
+            f"tau={t[small].min():g} below {SMALL_TAU_CUTOFF:g}: using the small-tau "
+            f"asymptote in {int(small.sum())} of {t.size} values",
             SmallTauSubstitution,
             stacklevel=2,
         )
-        return rho_zhu_asymptote(tau, p)
-    local = _tuned_config(p, tau, cfg)
-    integral = integrate_semi_infinite(_boundary_integrand(p, tau), local)
-    return p.perpetual_boundary + (2.0 * p.strike / math.pi) * integral
+        out[small] = [rho_zhu_asymptote(float(x), p) for x in t[small]]
+    if not small.all():
+        z_gauss = 8.0 / (p.sigma * math.sqrt(SMALL_TAU_CUTOFF))
+        integral = _damped_integral(t[~small], p, cfg, z_gauss, power=0)
+        out[~small] = p.perpetual_boundary + (2.0 * p.strike / math.pi) * integral
+    return float(out[0]) if np.ndim(tau) == 0 else out.reshape(np.shape(tau))
 
 
 def zhu_second_derivative(
@@ -153,23 +171,18 @@ def zhu_second_derivative(
     by (sigma^2/2 (a^2+zeta^2))^2, giving
 
         (2 E sigma^4 / 4 pi) * int_0^inf (a^2+zeta^2) zeta e^{-tau sigma^2/2 (a^2+zeta^2)}
-                                         e^{-f1} sin(f2) dzeta.
+                                         e^{-f1} sin(f2) dzeta,
 
-    Positive whenever f2 stays in (0, pi), i.e. for gamma >= gamma_critical().
+    by the trapezoid rule of rho_zhu on a grid that reaches
+    11/(sigma sqrt(min(tau, SMALL_TAU_CUTOFF))).  Positive whenever f2
+    stays in (0, pi), i.e. for gamma >= gamma_critical().
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise DomainError(f"tau must be positive and finite, got {tau}")
     cfg = cfg or QuadratureConfig()
-    base = _boundary_integrand(p, tau)
-    a = p.a
-
-    def f(zeta):
-        z = np.asarray(zeta, dtype=float)
-        return (a * a + z * z) ** 2 * base(z)
-
-    # polynomial growth of the extra factor needs more Gaussian headroom
-    local = _tuned_config(p, tau, cfg, sigmas=11.0)
-    integral = integrate_semi_infinite(f, local)
+    # the (a^2+zeta^2)^2 growth needs more Gaussian headroom than rho_zhu
+    z_gauss = 11.0 / (p.sigma * math.sqrt(min(tau, SMALL_TAU_CUTOFF)))
+    integral = float(_damped_integral(np.array([tau]), p, cfg, z_gauss, power=2)[0])
     return (2.0 * p.strike * p.sigma**4 / (4.0 * math.pi)) * integral
 
 
@@ -185,14 +198,16 @@ def f2_max(gamma: float, cfg: QuadratureConfig | None = None) -> float:
     if not (gamma > 0 and math.isfinite(gamma)):
         raise DomainError(f"gamma must be positive, got {gamma}")
     cfg = cfg or QuadratureConfig()
+    # 2 * (gamma/2) / 1^2 == gamma exactly, so the kernels see this gamma
+    p = MarketParams(r=0.5 * gamma, sigma=1.0, strike=1.0)
     zs = np.geomspace(1e-6, 1e6, 512)
-    vals = _kernels_from_gamma(zs, gamma)[1]
+    vals = zhu_kernels(zs, p)[1]
     i = int(np.argmax(vals))
     lo = zs[max(i - 1, 0)]
     hi = zs[min(i + 1, zs.size - 1)]
 
     def f2_at(z: float) -> float:
-        return float(_kernels_from_gamma(np.asarray(z, dtype=float), gamma)[1])
+        return zhu_kernels(z, p)[1]
 
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)

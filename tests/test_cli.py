@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+from putboundary import MarketParams, rho_zhu
 from putboundary.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    _method_evaluator,
     main,
 )
 
@@ -185,7 +188,8 @@ class TestMispricingCommand:
 
 
 #: stdout of `putboundary mispricing --benchmark ssch --E 1 --points 6 --m 60`
-#: at the default precision; faster pricing code must print these bytes unchanged
+#: at the default precision; faster pricing code must print these bytes
+#: unchanged (zhu frozen from the fixed-step Newton-Cotes integral)
 MISPRICING_GOLDEN = {
     "ssc-a": (
         "tau,eps,err\n"
@@ -205,6 +209,15 @@ MISPRICING_GOLDEN = {
         "0.00116652,-0.00229905,0.104835\n"
         "0.006,-0.00676963,0.139356\n"
     ),
+    "zhu": (
+        "tau,eps,err\n"
+        "1.66667e-06,0.000937058,0.677823\n"
+        "8.57253e-06,0.00178712,0.642425\n"
+        "4.4093e-05,0.00316546,0.570154\n"
+        "0.000226793,0.00547746,0.510849\n"
+        "0.00116652,0.00889846,0.441558\n"
+        "0.006,0.0131704,0.358139\n"
+    ),
 }
 
 
@@ -217,6 +230,73 @@ def test_mispricing_golden_stdout(capsys, method):
     )
     assert code == EXIT_OK
     assert out == MISPRICING_GOLDEN[method]
+
+
+COMPARE_HEADER = (
+    "tau,kk,ekk,ssc-a,chen-chadam,zhu-asymptote,zhu,relerr_kk,relerr_ekk,"
+    "relerr_ssc-a,relerr_chen-chadam,relerr_zhu-asymptote\n"
+)
+
+#: stdout of `putboundary compare --method kk,ekk,ssc-a,chen-chadam,zhu-asymptote,zhu
+#: --benchmark zhu --tau 1e-5,1e-3,0.1,5` at the default precision, frozen from
+#: the fixed-step Newton-Cotes zhu integral; keys are (r, sigma, E) for one
+#: market each below gamma0 (0.011), at gamma = 1 and at gamma >= 5 (8.9)
+COMPARE_GOLDEN = {
+    ("0.0005", "0.3", "100"): (
+        COMPARE_HEADER
+        + "1e-05,99.5729,99.5644,99.5654,99.5644,99.5643,99.1084,0.00468646,0.0046011,"
+        "0.00461111,0.00460073,0.00459975\n"
+        "0.001,96.245,96.1491,96.2266,96.2085,97.3856,93.0189,0.0346826,0.0336511,"
+        "0.0344841,0.0342905,0.0469447\n"
+        "0.1,68.4481,67.312,72.4388,71.9506,91.2854,57.1432,0.197835,0.177953,"
+        "0.267671,0.259128,0.597485\n"
+        "5,-79.3654,-89.2647,18.8331,14.636,n/a,4.94667,17.0442,19.0454,"
+        "2.80723,1.95876,n/a\n"
+    ),
+    ("0.045", "0.3", "100"): (
+        COMPARE_HEADER
+        + "1e-05,99.6815,99.6702,99.6708,99.6685,99.5643,99.4467,0.00236052,0.00224731,"
+        "0.00225277,0.0022302,0.0011818\n"
+        "0.001,97.5505,97.4058,97.4391,97.3954,97.3856,96.2541,0.0134682,0.0119649,"
+        "0.0123116,0.0118569,0.0117556\n"
+        "0.1,86.3781,83.9209,85.1684,80.8234,91.2854,80.8298,0.0686421,0.0382414,"
+        "0.053676,7.9715e-05,0.129353\n"
+        "5,n/a,n/a,n/a,n/a,n/a,55.68,n/a,n/a,n/a,n/a,n/a\n"
+    ),
+    ("0.1", "0.15", "1"): (
+        COMPARE_HEADER
+        + "1e-05,0.998634,0.998569,0.998569,0.998553,0.997821,0.997791,0.000845264,"
+        "0.000779874,0.000780012,0.000763929,3.04548e-05\n"
+        "0.001,0.990896,0.989944,0.989907,0.989469,0.986928,0.986493,0.00446296,"
+        "0.00349764,0.00345988,0.00301596,0.00044063\n"
+        "0.1,n/a,n/a,n/a,n/a,0.956427,0.942549,n/a,n/a,n/a,n/a,0.0147244\n"
+        "5,n/a,n/a,n/a,n/a,n/a,0.899998,n/a,n/a,n/a,n/a,n/a\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("market", sorted(COMPARE_GOLDEN))
+def test_compare_golden_stdout(capsys, market):
+    r, sigma, strike = market
+    code, out, _ = run_cli(
+        capsys,
+        "compare", "--method", "kk,ekk,ssc-a,chen-chadam,zhu-asymptote,zhu",
+        "--benchmark", "zhu", "--tau", "1e-5,1e-3,0.1,5",
+        "--r", r, "--sigma", sigma, "--E", strike,
+    )
+    assert code == EXIT_OK
+    assert out == COMPARE_GOLDEN[market]
+
+
+class TestZhuEvaluator:
+    def test_zhu_evaluator_takes_arrays(self):
+        p = MarketParams(r=0.1, sigma=0.3, strike=1.0)
+        ev = _method_evaluator("zhu", p, 0.006, None)
+        taus = np.array([0.0, 2e-6, 1e-3, 0.006])
+        got = ev(taus)
+        assert got.shape == taus.shape and got[0] == 1.0
+        assert [ev(float(t)) for t in taus] == list(got)
+        assert got[2] == rho_zhu(1e-3, p)
 
 
 class TestOutputContract:

@@ -13,11 +13,9 @@ from putboundary import (
     MaxIterationsError,
     QuadratureConfig,
     QuadratureNodeError,
-    TailTooHeavyError,
     TauGrid,
     find_root_bracketed,
     integrate_newton_cotes,
-    integrate_semi_infinite,
     norm_cdf,
 )
 from putboundary.core import norm_cdf_array
@@ -101,26 +99,6 @@ class TestNewtonCotes:
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.5
         assert math.log2(errs[1] / errs[2]) >= 3.5
-
-
-class TestSemiInfinite:
-    def test_exponential(self):
-        cfg = QuadratureConfig(semi_inf_truncation=30.0)
-        got = integrate_semi_infinite(lambda z: np.exp(-z), cfg)
-        assert got == pytest.approx(1.0, abs=1e-8)
-
-    def test_gaussian_moment(self):
-        cfg = QuadratureConfig(semi_inf_truncation=50.0)
-        got = integrate_semi_infinite(lambda z: z * np.exp(-(z**2)), cfg)
-        assert got == pytest.approx(0.5, abs=1e-8)
-
-    def test_heavy_tail_rejected(self):
-        with pytest.raises(TailTooHeavyError):
-            integrate_semi_infinite(lambda z: 1.0 / (1.0 + z**2), CFG)
-
-    def test_nondecaying_rejected(self):
-        with pytest.raises(TailTooHeavyError):
-            integrate_semi_infinite(lambda z: np.ones_like(np.asarray(z, dtype=float)), CFG)
 
 
 class TestRootFinding:

@@ -7,7 +7,9 @@ from putboundary import (
     DomainError,
     MarketParams,
     QuadratureConfig,
+    QuadratureNodeError,
     SmallTauSubstitution,
+    TailTooHeavyError,
     f2_max,
     gamma_critical,
     rho_zhu,
@@ -15,6 +17,7 @@ from putboundary import (
     zhu_kernels,
     zhu_second_derivative,
 )
+from putboundary.zhu import SMALL_TAU_CUTOFF
 
 import oracles
 
@@ -40,30 +43,40 @@ ZHU_TABLE = {
 
 class TestKernels:
     def test_zeta_zero_closed_form(self, params):
-        kv = zhu_kernels(0.0, params)
-        assert kv.f1 == pytest.approx(math.log(params.a / params.gamma) / params.b, rel=1e-14)
-        assert kv.f2 == 0.0
+        f1, f2 = zhu_kernels(0.0, params)
+        assert f1 == pytest.approx(math.log(params.a / params.gamma) / params.b, rel=1e-14)
+        assert f2 == 0.0
 
     def test_decay_at_large_zeta(self, params):
         for zeta in (1e6, 1e8):
-            kv = zhu_kernels(zeta, params)
+            f1, f2 = zhu_kernels(zeta, params)
             bound = 2.0 * math.log(zeta) / zeta
-            assert abs(kv.f1) < bound and abs(kv.f2) < bound
-        a = zhu_kernels(1e6, params)
-        b = zhu_kernels(1e7, params)
-        assert abs(b.f1) < abs(a.f1) and abs(b.f2) < abs(a.f2)
+            assert abs(f1) < bound and abs(f2) < bound
+        a1, a2 = zhu_kernels(1e6, params)
+        b1, b2 = zhu_kernels(1e7, params)
+        assert abs(b1) < abs(a1) and abs(b2) < abs(a2)
 
     def test_against_precision_oracle(self, params):
         # frozen from a 50-digit evaluation of the printed kernel formulas
-        kv = zhu_kernels(1.0, params)
-        assert kv.f1 == pytest.approx(0.4750358245092477, abs=1e-13)
-        assert kv.f2 == pytest.approx(0.13165839941939332, abs=1e-13)
+        f1, f2 = zhu_kernels(1.0, params)
+        assert f1 == pytest.approx(0.4750358245092477, abs=1e-13)
+        assert f2 == pytest.approx(0.13165839941939332, abs=1e-13)
 
     def test_singular_point(self):
         p = MarketParams(r=0.045, sigma=0.3, strike=100.0)  # gamma = 1, b = 0
         with pytest.raises(DomainError):
             zhu_kernels(0.0, p)
-        assert math.isfinite(zhu_kernels(0.5, p).f1)
+        with pytest.raises(DomainError):
+            zhu_kernels(np.array([0.5, 0.0]), p)
+        assert math.isfinite(zhu_kernels(0.5, p)[0])
+
+    def test_array_equals_scalars(self, params):
+        zeta = np.geomspace(1e-6, 1e6, 97)
+        f1, f2 = zhu_kernels(zeta, params)
+        pairs = [zhu_kernels(float(z), params) for z in zeta]
+        assert type(pairs[0][0]) is float and f1.shape == zeta.shape
+        assert np.array_equal(f1, [q[0] for q in pairs])
+        assert np.array_equal(f2, [q[1] for q in pairs])
 
     def test_negative_zeta_rejected(self, params):
         with pytest.raises(DomainError):
@@ -90,11 +103,13 @@ class TestBoundary:
         assert v == rho_zhu_asymptote(1e-7, params)
 
     def test_truncation_doubling_invariance(self, params):
+        # the grid ends at the larger of the truncation and the Gaussian cutoff
+        # of the smallest integrated tau, so doubling it moves every node
         tau = 0.01
         base = QuadratureConfig()
-        z = max(base.semi_inf_truncation, 8.0 / (params.sigma * math.sqrt(tau)))
-        a = rho_zhu(tau, params, base.with_truncation(z))
-        b = rho_zhu(tau, params, base.with_truncation(2 * z))
+        z = max(base.semi_inf_truncation, 8.0 / (params.sigma * math.sqrt(SMALL_TAU_CUTOFF)))
+        a = rho_zhu(tau, params, QuadratureConfig(semi_inf_truncation=z))
+        b = rho_zhu(tau, params, QuadratureConfig(semi_inf_truncation=2 * z))
         assert abs(a - b) < 1e-8 * params.strike
 
     def test_monotone_decreasing_and_convex(self, params):
@@ -166,3 +181,96 @@ class TestCriticalGamma:
         gs = [0.005, 0.0167821, 0.05, 0.2, 1.0]
         peaks = [f2_max(g) for g in gs]
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
+
+
+class TestArrayContract:
+    def test_scalar_equals_array_element_bit_for_bit(self, params):
+        taus = np.geomspace(1.01e-6, 200.0, 301)
+        got = rho_zhu(taus, params)
+        want = np.array([rho_zhu(float(t), params) for t in taus])
+        assert type(rho_zhu(1.0, params)) is float
+        assert got.shape == taus.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        grid = rho_zhu(taus.reshape(7, 43), params)
+        assert np.array_equal(grid.ravel().view(np.int64), want.view(np.int64))
+
+    def test_mixed_array_substitutes_only_small_taus(self, params):
+        taus = np.array([1.0, 1e-7, 1e-3, 5e-8, 0.1])
+        with pytest.warns(SmallTauSubstitution, match="2 of 5"):
+            got = rho_zhu(taus, params)
+        assert got[1] == rho_zhu_asymptote(1e-7, params)
+        assert got[3] == rho_zhu_asymptote(5e-8, params)
+        for k in (0, 2, 4):
+            assert got[k] == rho_zhu(float(taus[k]), params)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+    def test_any_invalid_tau_in_array_rejected(self, params, bad):
+        with pytest.raises(DomainError, match="positive and finite"):
+            rho_zhu(np.array([0.5, bad, 1.0]), params)
+        with pytest.raises(DomainError, match="positive and finite"):
+            rho_zhu(bad, params)
+
+    def test_nonfinite_kernel_node_reported(self):
+        p = MarketParams(r=0.1, sigma=1e-160, strike=100.0)  # gamma overflows
+        with np.errstate(all="ignore"), pytest.raises(QuadratureNodeError) as err:
+            rho_zhu(np.array([0.5, 1.0]), p)
+        assert err.value.abscissa == pytest.approx(1e-6)
+
+
+class TestTailBound:
+    """The tail beyond the last node Z, bounded from |f| at Z and 1.1 Z, must
+    stay below 10 * root_tol for every tau of a call."""
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.5])
+    def test_accepted_near_cutoff_at_default_tolerance(self, sigma):
+        p = MarketParams(r=0.05 * sigma**2, sigma=sigma, strike=100.0)
+        vals = rho_zhu(np.array([1.01e-6, 1.5e-6, 2e-6]), p)
+        assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) < 0)
+
+    def test_second_derivative_accepted_near_cutoff(self):
+        p = MarketParams(r=0.05 * 0.05**2, sigma=0.05, strike=100.0)
+        # below the cutoff the grid reaches this tau's own Gaussian cutoff
+        for tau in (1e-7, 1.01e-6, 2e-6):
+            assert zhu_second_derivative(tau, p) > 0.0
+
+    def test_tight_tolerance_rejected(self, params):
+        tight = QuadratureConfig(root_tol=1e-30)
+        with pytest.raises(TailTooHeavyError):
+            rho_zhu(1.01e-6, params, tight)
+        with pytest.raises(TailTooHeavyError):
+            zhu_second_derivative(1.01e-6, params, tight)
+
+    def test_every_tau_checked(self, params):
+        tight = QuadratureConfig(root_tol=1e-30)
+        # far from the cutoff the damped integrand underflows before Z
+        assert np.all(np.isfinite(rho_zhu(np.array([1.0, 5.0]), params, tight)))
+        with pytest.raises(TailTooHeavyError, match="tau=1.01e-06"):
+            rho_zhu(np.array([1.0, 5.0, 1.01e-6]), params, tight)
+
+
+ORACLE_GAMMAS = (0.005, 0.0125, 0.0167821, 0.033, 1.0, 2.22, 17.8, 60.0)
+ORACLE_SIGMAS = (0.05, 0.15, 0.3, 0.8, 1.5)
+ORACLE_TAUS = (1e-3, 0.1, 5.0, 200.0)
+#: the Newton-Cotes oracle needs ~1/(sigma sqrt(tau)) nodes, so the taus next
+#: to the cutoff run for every gamma at the largest sigma and for every sigma
+#: at gamma0
+NEAR_CUTOFF_TAUS = (1.01e-6, 1e-5)
+
+
+@pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
+def test_against_newton_cotes_oracle(gamma, sigma):
+    """The log-substituted trapezoid rule against the fixed-step Newton-Cotes
+    rule in zeta, within 1e-12 E for rho and 1e-12 relative (or 1e-12 E
+    where d2 rho/d tau2 is smaller than E) for the second derivative."""
+    p = MarketParams(r=0.5 * gamma * sigma**2, sigma=sigma, strike=100.0)
+    taus = ORACLE_TAUS
+    if sigma == ORACLE_SIGMAS[-1] or gamma == ORACLE_GAMMAS[2]:
+        taus = NEAR_CUTOFF_TAUS + taus
+    got = rho_zhu(np.array(taus), p)
+    for k, tau in enumerate(taus):
+        want = oracles.rho_zhu_newton_cotes(tau, p)
+        assert abs(got[k] - want) <= 1e-12 * p.strike, (tau, got[k], want)
+        want = oracles.zhu_second_derivative_newton_cotes(tau, p)
+        d2 = zhu_second_derivative(tau, p)
+        assert abs(d2 - want) <= 1e-12 * max(abs(want), p.strike), (tau, d2, want)
