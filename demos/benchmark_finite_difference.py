@@ -2,7 +2,10 @@
 
 The variational-inequality formulation prices the option on a fixed
 rectangle: transform to the heat equation, step with Crank-Nicolson, and at
-every level run projected SOR so the solution never falls below the payoff.
+every level solve the linear complementarity problem exactly with the
+Brennan-Schwartz step (eliminate from the right, substitute from the left
+with each value clipped to the payoff), so the solution never falls below
+the payoff.
 The exercise boundary is wherever the computed price detaches from the
 payoff.  Boundary quality is limited by the grid, so the refinement study
 at the end is the part to trust.

@@ -2,7 +2,7 @@
 
 Five closed-form near-expiry approximations, a closed integral formula with
 its convexity analysis, a sequential solver for the governing nonlinear
-integral equation, a projected-SOR finite-difference benchmark, and the
+integral equation, a finite-difference benchmark, and the
 Green's-function machinery that turns boundary differences into option
 mispricing numbers.
 """
@@ -51,7 +51,6 @@ from .ssch import (
     solve_eta_at,
 )
 from .psor import (
-    IterationError,
     NoContactError,
     PsorConfig,
     PsorSolution,

@@ -61,6 +61,9 @@ def _add_output_args(sp):
     )
 
 
+_OMEGA_HELP = "SOR relaxation in (0, 2); validated, no longer affects the result (psor)"
+
+
 def build_parser() -> _Parser:
     ap = _Parser(prog="putboundary", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -74,7 +77,7 @@ def build_parser() -> _Parser:
     b.add_argument("--m", type=int, default=None, help="mesh / time-step count")
     b.add_argument("--n", type=int, default=1000, help="spatial half-count (psor)")
     b.add_argument("--L", type=float, default=2.5, help="log-price half-width (psor)")
-    b.add_argument("--omega", type=float, default=1.5, help="SOR relaxation (psor)")
+    b.add_argument("--omega", type=float, default=1.5, help=_OMEGA_HELP)
     _add_output_args(b)
 
     c = sub.add_parser("compare", help="several methods side by side")
@@ -86,7 +89,7 @@ def build_parser() -> _Parser:
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--n", type=int, default=1000)
     c.add_argument("--L", type=float, default=2.5)
-    c.add_argument("--omega", type=float, default=1.5)
+    c.add_argument("--omega", type=float, default=1.5, help=_OMEGA_HELP)
     _add_output_args(c)
 
     g = sub.add_parser("gamma0", help="convexity-threshold parameter")
@@ -108,7 +111,7 @@ def build_parser() -> _Parser:
     mi.add_argument("--m", type=int, default=None)
     mi.add_argument("--n", type=int, default=1200)
     mi.add_argument("--L", type=float, default=0.06)
-    mi.add_argument("--omega", type=float, default=1.85)
+    mi.add_argument("--omega", type=float, default=1.85, help=_OMEGA_HELP)
     _add_output_args(mi)
     return ap
 

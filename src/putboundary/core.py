@@ -1,10 +1,10 @@
 """Shared numerical kernels and domain parameter types.
 
 Everything downstream (closed-form approximations, the iterative
-integral-equation solver, the PSOR benchmark, price-gap integrals) is built
-on the primitives in this module: the normal CDF, composite Newton-Cotes
-quadrature and Brent's bracketed root finder.  All functions are pure and
-safe to call concurrently.
+integral-equation solver, the finite-difference benchmark, price-gap
+integrals) is built on the primitives in this module: the normal CDF,
+composite Newton-Cotes quadrature and Brent's bracketed root finder.  All
+functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations

@@ -1,18 +1,18 @@
-"""Finite-difference benchmark: projected SOR on the transformed inequality.
+"""Finite-difference benchmark: Crank-Nicolson on the transformed inequality.
 
 The change of variables x = ln(S/E), tau = T - t,
 u(x, tau) = e^{alpha x + beta tau} V(E e^x, T - tau)/E with
 alpha = r/sigma^2 - 1/2 and beta = r/2 + sigma^2/8 + r^2/(2 sigma^2) turns
 the pricing inequality into an obstacle problem for the heat equation
 u_tau = (sigma^2/2) u_xx, u >= transformed payoff.  Each Crank-Nicolson
-step is a linear complementarity problem solved by SOR sweeps whose
-component updates are clipped to the payoff from below.  The early exercise
-boundary is read off each time level as the point where the price detaches
-from the payoff by more than a contact tolerance.
-
-The sweep itself is a strictly sequential Gauss-Seidel recursion; when
-numba is importable a compiled kernel is used, otherwise a plain Python
-loop with identical arithmetic.
+step is a tridiagonal linear complementarity problem whose contact set is
+one interval at the left edge, so it is solved exactly by the
+Brennan-Schwartz step: one elimination from right to left, then one
+substitution from left to right that clips each value to the payoff
+(Brennan and Schwartz 1977; Jaillet, Lamberton and Lapeyre 1990).  This is
+the point projected SOR converges to, without its sweeps.  The early
+exercise boundary is read off each time level as the point where the price
+detaches from the payoff by more than a contact tolerance.
 """
 
 from __future__ import annotations
@@ -33,16 +33,11 @@ from .core import (
 __all__ = [
     "PsorConfig",
     "PsorSolution",
-    "IterationError",
     "NoContactError",
     "psor_solve",
     "extract_boundary",
     "price_at",
 ]
-
-
-class IterationError(NumericalError):
-    """SOR failed to converge within the sweep cap at some time level."""
 
 
 class NoContactError(NumericalError):
@@ -54,10 +49,11 @@ class PsorConfig:
     """Grid for the benchmark solve.
 
     x-nodes run over [-L, L] with spacing h = L/n (2n+1 nodes), time levels
-    over [0, T] with step k = T/m.  omega is the SOR relaxation factor, tol
-    the max-norm stopping rule on successive sweep iterates, contact_tol the
-    detachment threshold (relative to the strike) used by the boundary
-    extraction.
+    over [0, T] with step k = T/m.  contact_tol is the detachment threshold
+    (relative to the strike) used by the boundary extraction.  omega (in
+    (0, 2)) and tol (positive) are the relaxation factor and stopping rule
+    of projected SOR; they are still validated, but the exact step does not
+    use them, so they no longer affect the result.
     """
 
     n: int
@@ -67,7 +63,6 @@ class PsorConfig:
     omega: float = 1.5
     tol: float = 1e-10
     contact_tol: float = 1e-8
-    max_sweeps: int = 100_000
 
     def __post_init__(self):
         if self.n < 2 or self.m < 1:
@@ -86,69 +81,6 @@ class PsorConfig:
     @property
     def k(self) -> float:
         return self.T / self.m
-
-
-def _psor_sweeps_python(u, g, rhs, lam, omega, tol, max_sweeps):
-    N = u.shape[0]
-    half = 0.5 * lam
-    diag = 1.0 + lam
-    ul = u.tolist()
-    gl = g.tolist()
-    rl = rhs.tolist()
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        left = ul[0]
-        for i in range(1, N - 1):
-            y = (rl[i] + half * (left + ul[i + 1])) / diag
-            ui = ul[i]
-            new = ui + omega * (y - ui)
-            gi = gl[i]
-            if new < gi:
-                new = gi
-            d = new - ui
-            if d < 0.0:
-                d = -d
-            if d > delta:
-                delta = d
-            ul[i] = new
-            left = new
-        if delta < tol:
-            u[:] = ul
-            return sweep + 1
-    u[:] = ul
-    return -1
-
-
-try:  # compiled sweep, same arithmetic as the fallback above
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _psor_sweeps_numba(u, g, rhs, lam, omega, tol, max_sweeps):  # pragma: no cover
-        N = u.shape[0]
-        half = 0.5 * lam
-        diag = 1.0 + lam
-        for sweep in range(max_sweeps):
-            delta = 0.0
-            for i in range(1, N - 1):
-                y = (rhs[i] + half * (u[i - 1] + u[i + 1])) / diag
-                ui = u[i]
-                new = ui + omega * (y - ui)
-                gi = g[i]
-                if new < gi:
-                    new = gi
-                d = new - ui
-                if d < 0.0:
-                    d = -d
-                if d > delta:
-                    delta = d
-                u[i] = new
-            if delta < tol:
-                return sweep + 1
-        return -1
-
-    _psor_sweeps = _psor_sweeps_numba
-except ImportError:  # pragma: no cover
-    _psor_sweeps = _psor_sweeps_python
 
 
 @dataclass(frozen=True)
@@ -196,14 +128,17 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     """March the obstacle problem over all time levels.
 
     Crank-Nicolson weighting on the heat operator; each level's LCP is
-    solved by projected SOR warm-started from the previous level.  The left
-    boundary is pinned to the transformed payoff (the deep-exercise value,
-    where V(0, t) = E in the untruncated problem), the right boundary to 0.
+    solved by the Brennan-Schwartz step.  The elimination diagonal
+    d'_i = d - c^2/d'_{i+1} (d = 1 + lam, c = lam/2) is the same at every
+    level and is computed once.  The left boundary is pinned to the
+    transformed payoff (the deep-exercise value, where V(0, t) = E in the
+    untruncated problem), the right boundary to 0.
     """
     alpha, beta = transform_constants(p)
     n, m = cfg.n, cfg.m
     h, k = cfg.h, cfg.k
     lam = p.sigma**2 * k / (2.0 * h * h)
+    c = 0.5 * lam
     x = np.linspace(-cfg.L, cfg.L, 2 * n + 1)
     payoff = np.maximum(1.0 - np.exp(x), 0.0)
     eax = np.exp(alpha * x)
@@ -213,21 +148,28 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     if not np.all(np.isfinite(U[:, 0])):
         raise DomainError("transformed payoff not finite on the grid; reduce L")
 
+    last = 2 * n - 1  # last interior node; u = 0 beyond it
+    dp = [0.0] * (2 * n + 1)
+    dp[last] = 1.0 + lam
+    for i in range(last - 1, 0, -1):
+        dp[i] = 1.0 + lam - c * c / dp[i + 1]
+    ratio = [c / dp[i + 1] for i in range(last)]
+
     for j in range(1, m + 1):
-        tau_j = j * k
-        g = eax * payoff * math.exp(beta * tau_j)
+        g = (eax * payoff * math.exp(beta * (j * k))).tolist()
         prev = U[:, j - 1]
-        rhs = np.empty_like(prev)
-        rhs[1:-1] = 0.5 * lam * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
-        u = prev.copy()
-        u[0] = g[0]
-        u[-1] = 0.0
-        sweeps = _psor_sweeps(u, g, rhs, lam, cfg.omega, cfg.tol, cfg.max_sweeps)
-        if sweeps < 0:
-            raise IterationError(
-                f"SOR did not converge at time level {j} within {cfg.max_sweeps} sweeps"
-            )
-        U[:, j] = u
+        rhs = np.zeros_like(prev)
+        rhs[1:-1] = c * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
+        r = rhs.tolist()
+        for i in range(last - 1, 0, -1):
+            r[i] += ratio[i] * r[i + 1]
+        # projected substitution, left to right, writing u over r
+        left = r[0] = g[0]
+        for i in range(1, last + 1):
+            v = (r[i] + c * left) / dp[i]
+            gi = g[i]
+            left = r[i] = v if v > gi else gi
+        U[:, j] = r
     return PsorSolution(U, cfg, p, alpha, beta)
 
 

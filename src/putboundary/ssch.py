@@ -6,14 +6,18 @@ The boundary is represented through an auxiliary function eta(tau):
 
 where eta solves, for every tau,
 
-    eta(tau) = -sqrt(-ln[ (r sqrt(2 pi tau)/sigma) e^{r tau} (1 - F_eta(tau)/sqrt(pi)) ])
+    exp(-eta(tau)^2) = A(tau) = (r sqrt(2 pi tau)/sigma) e^{r tau} (1 - F_eta(tau)/sqrt(pi))
 
     F_eta(tau) = 2 int_0^{pi/2} e^{-r tau cos^2(th) - G^2} [ (sigma sqrt(tau)/sqrt(2)) sin(th)
                                                            + G tan(th) ] dth
     G(tau, th) = [eta(tau) - eta(tau sin^2 th) sin(th)] / cos(th)
 
+Near expiry eta is negative, eta = -sqrt(-ln A); the equation is solved in
+this sign-free form so that the path can cross eta = 0, which it does at
+long horizons when gamma = 2r/sigma^2 > 1 (rho then falls below
+E e^{-(r - sigma^2/2) tau}).
 F and G only look backwards: their value at tau depends on eta on [0, tau]
-alone, so the unknowns eta(tau_1) < ... < eta(tau_m) can be solved one node
+alone, so the unknowns eta(tau_1), ..., eta(tau_m) can be solved one node
 at a time, each by a scalar root find warm-started at the previous node.
 The very first node comes from the closed small-tau formula; below tau_1 the
 path is evaluated by that same formula, between nodes by linear
@@ -59,7 +63,11 @@ class MeshError(DomainError):
 
 
 class LogDomainError(NumericalError):
-    """The root search could not keep the log argument inside (0, 1)."""
+    """The log argument A stayed at or below 0 over the whole root bracket."""
+
+
+#: times the root bracket of solve_eta_at doubles, from half-width 0.05 to 12.8
+BRACKET_DOUBLINGS = 8
 
 
 class MeshKind(enum.Enum):
@@ -109,16 +117,16 @@ class EtaPath:
     def __post_init__(self):
         if len(self.etas) > len(self.grid) - 1:
             raise DomainError("more eta values than positive mesh nodes")
-        if any(not (e < 0) for e in self.etas):
-            raise DomainError("every eta value must be negative")
+        if not all(math.isfinite(e) for e in self.etas):
+            raise DomainError("every eta value must be finite")
 
     @property
     def solved(self) -> int:
         return len(self.etas)
 
     def append(self, eta: float):
-        if not eta < 0:
-            raise DomainError(f"eta must be negative, got {eta}")
+        if not math.isfinite(eta):
+            raise DomainError(f"eta must be finite, got {eta}")
         if self.solved >= len(self.grid) - 1:
             raise DomainError("path already complete")
         self.etas.append(float(eta))
@@ -213,10 +221,10 @@ def solve_eta_at(
     """Value of eta at the next mesh node, given the path solved so far.
 
     The first positive node bypasses root finding and takes the closed
-    small-tau value.  Later nodes sample the path once and solve R(eta) = 0
-    with the bracketed root finder, on a bracket around the previous node's
-    value that widens geometrically up to eight times if the sign change is
-    not yet enclosed; every bracket tried is tested for a sign change.
+    small-tau value.  Later nodes sample the path once and solve
+    H(eta) = eta^2 + ln A(eta) = 0 with the bracketed root finder, on a
+    bracket of half-width 0.05 around the previous node's value that
+    doubles, up to BRACKET_DOUBLINGS times, until it encloses a sign change.
     """
     cfg = cfg or QuadratureConfig()
     i = path.solved + 1
@@ -234,39 +242,29 @@ def solve_eta_at(
     base, slope = path.sample(tau_i * st * st)
 
     @functools.cache
-    def R(eta: float) -> float:
-        """Residual eta + sqrt(-ln A(eta)) with a continuous extension:
-        A >= 1 contributes sqrt-term 0, A <= 0 maps to +inf.  Roots of the
-        extension coincide with roots of the true residual because a root
-        needs -eta = sqrt(-ln A) > 0, i.e. A strictly inside (0, 1)."""
+    def H(eta: float) -> float:
+        """eta^2 + ln A(eta), extended by -inf where A <= 0, which is its
+        limit as A falls to 0; a root is a solution e^{-eta^2} = A of
+        either sign."""
         A = _log_argument(big_f_eval(eta, tau_i, base + slope * eta, p, cfg), tau_i, p)
-        if A <= 0.0:
-            return math.inf
-        neg_log = -math.log(A)
-        return eta + math.sqrt(neg_log) if neg_log > 0 else eta
+        return eta * eta + math.log(A) if A > 0.0 else -math.inf
 
     prev = path.etas[-1]
-    lo = prev - 1.0
-    hi = min(prev + 1.0, -1e-12)
-    for widenings in range(9):
-        if widenings:
-            lo -= 2.0 ** (widenings - 1)
-            hi = min(hi + 2.0 ** (widenings - 1), -1e-12)
-        if math.isfinite(R(lo)) and R(lo) * R(hi) <= 0:
+    for doublings in range(BRACKET_DOUBLINGS + 1):
+        half = 0.05 * 2.0**doublings
+        lo, hi = prev - half, prev + half
+        if min(H(lo), H(hi)) <= 0.0 <= max(H(lo), H(hi)):
             break
     else:
-        if math.isinf(R(lo)) or math.isinf(R(hi)):
-            raise LogDomainError(
-                f"node {i} (tau={tau_i:g}): log argument left (0,1) on [{lo:.6g}, {hi:.6g}]"
-            )
-        raise BracketError(
-            f"node {i} (tau={tau_i:g}): no sign change of the residual on [{lo:.6g}, {hi:.6g}]"
+        error = LogDomainError if math.isinf(H(lo)) or math.isinf(H(hi)) else BracketError
+        raise error(
+            f"node {i} (tau={tau_i:g}): no sign change of eta^2 + ln A on [{lo:.6g}, {hi:.6g}]"
         )
 
-    eta = find_root_bracketed(R, lo, hi, cfg)
-    if not abs(R(eta)) <= cfg.root_tol:
+    eta = find_root_bracketed(H, lo, hi, cfg)
+    if not abs(H(eta)) <= cfg.root_tol:
         raise LogDomainError(
-            f"node {i} (tau={tau_i:g}): converged point invalid, residual {R(eta)!r}"
+            f"node {i} (tau={tau_i:g}): converged point invalid, residual {H(eta)!r}"
         )
     return eta
 

@@ -10,8 +10,8 @@ reference numbers that converged solvers cannot reproduce:
   columns derived from it): the mid-range rows are matched by a documented
   extraction recipe, but the tau = 0.02 row and the tau >= 3 tail deviate
   beyond the stated band no matter how the solver is configured.  Three
-  mutually independent routes here (converged projected-SOR, the integral
-  equation solver, and a lattice oracle) agree with each other at those
+  mutually independent routes here (the exact finite-difference step, the
+  integral equation solver, and a lattice oracle) agree with each other at those
   points and not with the reference column, so the deviation is carried by
   the reference values themselves.  The checks assert the stated band and
   fail honestly rather than loosening it.

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,10 +11,13 @@ from putboundary import (
     MarketParams,
     MeshError,
     MeshKind,
+    PsorConfig,
     QuadratureConfig,
     big_f_eval,
     build_mesh,
     eta_lowest_order,
+    extract_boundary,
+    psor_solve,
     solve_boundary,
     solve_eta_at,
 )
@@ -138,12 +140,21 @@ class TestPathAndMappings:
         assert got == pytest.approx(-0.7958124774202444, abs=1e-6)
 
     def test_path_invariants(self, params):
+        """eta may take either sign; it must be finite, and the path never
+        holds more values than positive mesh nodes."""
         grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
+        assert EtaPath(grid, params, [0.5]).etas == [0.5]
         with pytest.raises(DomainError):
-            EtaPath(grid, params, [0.5])
+            EtaPath(grid, params, [-1.0, -0.9, -0.8])
+        with pytest.raises(DomainError):
+            EtaPath(grid, params, [math.nan])
         path = EtaPath(grid, params, [])
         with pytest.raises(DomainError):
-            path.append(0.0)
+            path.append(math.inf)
+        path.append(-0.5)
+        path.append(0.0)
+        with pytest.raises(DomainError):
+            path.append(0.1)
 
 
 class TestNodeSolve:
@@ -161,19 +172,39 @@ class TestNodeSolve:
         eta2 = solve_eta_at(path, float(grid.taus[2]), params, cfg)
         F = f_on_path(path, eta2, float(grid.taus[2]), params, cfg)
         A = _log_argument(F, float(grid.taus[2]), params)
-        residual = eta2 + math.sqrt(-math.log(A))
-        assert abs(residual) <= cfg.root_tol
+        assert eta2 < 0.0  # the near-expiry branch eta = -sqrt(-ln A)
+        assert abs(eta2 * eta2 + math.log(A)) <= cfg.root_tol
+
+    @staticmethod
+    def _flat_log_argument(monkeypatch, A):
+        """H(eta) = eta^2 + ln A, whatever the path."""
+        monkeypatch.setattr(ssch, "big_f_eval", lambda *args: 0.0)
+        monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: A)
 
     def test_root_in_last_widened_bracket(self, params, monkeypatch):
-        """With R(eta) = eta + 10 and the previous eta at -150, the first
+        """With H(eta) = eta^2 - 100 and the previous eta at -20, the first
         bracket to enclose the root -10 is the one after the eighth
-        widening, [-406, -1e-12]."""
-        monkeypatch.setattr(ssch, "big_f_eval", lambda *args: 0.0)
-        monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: math.exp(-100.0))
+        doubling, [-32.8, -7.2]; the one before it, [-26.4, -13.6], does not."""
+        self._flat_log_argument(monkeypatch, math.exp(-100.0))
+        assert ssch.BRACKET_DOUBLINGS == 8
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [-150.0])
+        path = EtaPath(grid, params, [-20.0])
         eta = solve_eta_at(path, float(grid.taus[2]), params)
         assert eta == pytest.approx(-10.0, abs=1e-9)
+
+    def test_root_beyond_last_bracket_names_the_node(self, params, monkeypatch):
+        self._flat_log_argument(monkeypatch, math.exp(-100.0))
+        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
+        path = EtaPath(grid, params, [-30.0])
+        with pytest.raises(BracketError, match=r"node 2 \(tau=0\.004\)"):
+            solve_eta_at(path, float(grid.taus[2]), params)
+
+    def test_log_argument_never_positive_names_the_node(self, params, monkeypatch):
+        self._flat_log_argument(monkeypatch, -1.0)
+        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
+        path = EtaPath(grid, params, [-1.0])
+        with pytest.raises(LogDomainError, match=r"node 2 \(tau=0\.004\)"):
+            solve_eta_at(path, float(grid.taus[2]), params)
 
     def test_wrong_node_rejected(self, params):
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
@@ -230,14 +261,20 @@ class TestBoundarySolve:
         target = params.strike * params.sigma
         assert abs(ratio - target) / target < 0.15
 
-    def test_known_defect_names_the_node(self):
-        """For gamma > 1 eta reaches 0 before long horizons, and the solver
-        admits only eta < 0: at gamma = 3, sigma = 0.25 it stops near
-        tau = 4.3 with a typed error naming the node."""
-        p = MarketParams(r=0.5 * 3 * 0.25**2, sigma=0.25, strike=100.0)
-        with pytest.raises((BracketError, LogDomainError)) as err:
-            solve_boundary(p, 5.0, 100)
-        node = re.search(r"failed at node (\d+)", str(err.value))
-        assert node is not None
-        tau = float(build_mesh(5.0, 100, MeshKind.QUADRATIC, p).taus[int(node.group(1))])
-        assert 4.0 < tau < 4.6
+    def test_long_horizon_solves_across_eta_zero(self):
+        """For gamma > 1 eta turns positive at long horizons.  Both markets
+        solve to T = 5, stay above the perpetual boundary, and agree with
+        the finite-difference benchmark within 5e-3 E at tau >= 0.4
+        (measured: 3.2e-3 E and 2.8e-3 E)."""
+        for gamma, sigma, eta_max in ((3.0, 0.25, 0.050), (6.0, 0.2, 0.548)):
+            p = MarketParams(r=0.5 * gamma * sigma**2, sigma=sigma, strike=100.0)
+            curve = solve_boundary(p, 5.0, 100)
+            taus, rhos = curve.grid.taus[1:], curve.rhos[1:]
+            etas = (np.log(rhos / p.strike) + (p.r - 0.5 * sigma**2) * taus) / (
+                sigma * np.sqrt(2.0 * taus)
+            )
+            assert etas.max() == pytest.approx(eta_max, abs=1e-3)
+            assert np.all(curve.rhos >= p.perpetual_boundary)
+            fd = extract_boundary(psor_solve(p, PsorConfig(n=200, m=200, T=5.0, L=1.0)))
+            for tau in curve.grid.taus[curve.grid.taus >= 0.4]:
+                assert abs(float(curve.value(tau)) - float(fd.value(tau))) <= 5e-3 * p.strike
