@@ -10,13 +10,17 @@ one interval at the left edge, so it is solved exactly by the
 Brennan-Schwartz step: one elimination from right to left, then one
 substitution from left to right that clips each value to the payoff
 (Brennan and Schwartz 1977; Jaillet, Lamberton and Lapeyre 1990).  This is
-the point projected SOR converges to, without its sweeps.  The early
+the point projected SOR converges to, without its sweeps.  Both passes are
+first-order linear recurrences with coefficients fixed for the whole
+solve, so each runs as a cumulative-sum prefix scan (Blelloch 1990), and
+the contact interval is found in one vectorised comparison.  The early
 exercise boundary is read off each time level as the point where the price
 detaches from the payoff by more than a contact tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,7 +93,8 @@ class PsorSolution:
 
     The price is recovered as V(S, t) = E e^{-alpha x - beta tau} u with
     x = ln(S/E), tau = T - t; by construction u never falls below the
-    transformed payoff, so V >= (E - S)^+ at every node.
+    transformed payoff, so V >= (E - S)^+ at every node.  The x and tau
+    grids are built on first use and kept, read-only.
     """
 
     u: np.ndarray
@@ -98,15 +103,19 @@ class PsorSolution:
     alpha: float
     beta: float
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
         c = self.config
-        return np.linspace(-c.L, c.L, 2 * c.n + 1)
+        x = np.linspace(-c.L, c.L, 2 * c.n + 1)
+        x.flags.writeable = False
+        return x
 
-    @property
+    @functools.cached_property
     def taus(self) -> np.ndarray:
         c = self.config
-        return np.linspace(0.0, c.T, c.m + 1)
+        taus = np.linspace(0.0, c.T, c.m + 1)
+        taus.flags.writeable = False
+        return taus
 
     def payoff_rel(self) -> np.ndarray:
         """(1 - e^x)^+ on the spatial grid (payoff / strike)."""
@@ -124,15 +133,95 @@ def transform_constants(p: MarketParams) -> tuple[float, float]:
     return alpha, beta
 
 
+#: most negative ln D allowed inside one scan block, so 1/D <= e^600 ~ 4e260
+_SCAN_DEPTH = 600.0
+
+#: below this |b| the partial sums of b/D stay under len(b) 2^100 e^600, far
+#: from overflow, so a block is scaled only above it
+_SCAN_SAFE = 2.0**100
+
+
+class _LinearScan:
+    """The first-order linear recurrence y_i = b_i + a_i y_{i-1} for fixed
+    coefficients 0 < a_i <= 1, evaluated for any right-hand side b as
+    prefix scans (Blelloch 1990): y = D cumsum(b/D) with D = cumprod(a).
+
+    D decays geometrically, so the coefficients are cut once into blocks
+    inside which D stays above e^-_SCAN_DEPTH; each block restarts D at 1
+    and folds in the last y of the block before it.  A block whose largest
+    |b| could overflow the partial sums is scaled by a power of 2 first,
+    which is exact, so no intermediate value overflows while the result is
+    finite.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a = np.asarray(a, dtype=float)
+        depth = np.zeros(a.size)
+        np.cumsum(-np.log(a[1:]), out=depth[1:])
+        D = np.ones(a.size)
+        self.bounds = [0]
+        while self.bounds[-1] < a.size:
+            s = self.bounds[-1]
+            e = max(s + 1, int(np.searchsorted(depth, depth[s] + _SCAN_DEPTH, side="right")))
+            np.cumprod(a[s + 1 : e], out=D[s + 1 : e])
+            self.bounds.append(e)
+        self.D = D
+        self.inv_D = 1.0 / D
+
+    def __call__(self, b: np.ndarray, start: int = 0) -> np.ndarray:
+        """y[start:] for the recurrence started at y_start = b_start
+        (a_start is not used)."""
+        y = np.array(b[start:], dtype=float)
+        for s, e in zip(self.bounds[:-1], self.bounds[1:]):
+            if e <= start:
+                continue
+            lo = max(s, start)
+            seg = y[lo - start : e - start]
+            if lo > start:
+                seg[0] += self.a[lo] * y[lo - start - 1]
+            peak = float(np.abs(seg).max())
+            exp2 = math.frexp(peak)[1] if peak > _SCAN_SAFE else 0
+            if exp2:
+                np.ldexp(seg, -exp2, out=seg)
+            seg *= self.inv_D[lo:e]
+            np.add.accumulate(seg, out=seg)
+            seg *= self.D[lo:e]
+            if exp2:
+                np.ldexp(seg, exp2, out=seg)
+        return y
+
+
+def _non_finite_level(j: int, tau: float, beta: float, p: MarketParams, cfg: PsorConfig):
+    return NumericalError(
+        f"level {j} (tau={tau:g}): transformed solution not finite, e^(beta tau) = "
+        f"e^{beta * tau:.6g}, for r={p.r:g}, sigma={p.sigma:g} on the grid "
+        f"n={cfg.n}, m={cfg.m}, T={cfg.T:g}, L={cfg.L:g}"
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite level raises below
 def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     """March the obstacle problem over all time levels.
 
     Crank-Nicolson weighting on the heat operator; each level's LCP is
     solved by the Brennan-Schwartz step.  The elimination diagonal
     d'_i = d - c^2/d'_{i+1} (d = 1 + lam, c = lam/2) is the same at every
-    level and is computed once.  The left boundary is pinned to the
-    transformed payoff (the deep-exercise value, where V(0, t) = E in the
-    untruncated problem), the right boundary to 0.
+    level and is computed once.  Both passes are first-order linear
+    recurrences with these fixed coefficients, so each level runs them as
+    two prefix scans (_LinearScan):
+
+    - elimination, right to left: r'_i = r_i + (c/d'_{i+1}) r'_{i+1};
+    - contact prefix: while u_{i-1} sits on the payoff g_{i-1}, the
+      substitution's value is v_i = (r'_i + c g_{i-1})/d'_i at every node
+      at once, and the first v_i > g_i is the first node off the payoff;
+    - free suffix, left to right from there:
+      u_i = r'_i/d'_i + (c/d'_i) u_{i-1}, clipped to the payoff.
+
+    The left boundary is pinned to the transformed payoff (the
+    deep-exercise value, where V(0, t) = E in the untruncated problem),
+    the right boundary to 0.  A level that is not finite (the transform's
+    growth e^(beta tau) beyond float range) raises NumericalError naming
+    the level and the grid.
     """
     alpha, beta = transform_constants(p)
     n, m = cfg.n, cfg.m
@@ -141,36 +230,50 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     c = 0.5 * lam
     x = np.linspace(-cfg.L, cfg.L, 2 * n + 1)
     payoff = np.maximum(1.0 - np.exp(x), 0.0)
-    eax = np.exp(alpha * x)
+    obstacle = np.exp(alpha * x) * payoff
 
-    U = np.empty((2 * n + 1, m + 1))
-    U[:, 0] = eax * payoff
-    if not np.all(np.isfinite(U[:, 0])):
+    # one contiguous row per level; the solution is its transpose
+    U = np.empty((m + 1, 2 * n + 1))
+    U[0] = obstacle
+    if not np.all(np.isfinite(obstacle)):
         raise DomainError("transformed payoff not finite on the grid; reduce L")
 
     last = 2 * n - 1  # last interior node; u = 0 beyond it
-    dp = [0.0] * (2 * n + 1)
-    dp[last] = 1.0 + lam
-    for i in range(last - 1, 0, -1):
-        dp[i] = 1.0 + lam - c * c / dp[i + 1]
-    ratio = [c / dp[i + 1] for i in range(last)]
+    dp = [1.0 + lam]
+    for _ in range(last - 1):
+        dp.append(1.0 + lam - c * c / dp[-1])
+    dp = np.array(dp[::-1])  # d'_1 .. d'_last
+    ratio = c / dp
+    # elimination runs over nodes last..1 with coefficient c/d'_{i+1}; the
+    # first coefficient is never used
+    eliminate = _LinearScan(np.concatenate(([0.0], ratio[:0:-1])))
+    substitute = _LinearScan(ratio)
 
     for j in range(1, m + 1):
-        g = (eax * payoff * math.exp(beta * (j * k))).tolist()
-        prev = U[:, j - 1]
-        rhs = np.zeros_like(prev)
-        rhs[1:-1] = c * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
-        r = rhs.tolist()
-        for i in range(last - 1, 0, -1):
-            r[i] += ratio[i] * r[i + 1]
-        # projected substitution, left to right, writing u over r
-        left = r[0] = g[0]
-        for i in range(1, last + 1):
-            v = (r[i] + c * left) / dp[i]
-            gi = g[i]
-            left = r[i] = v if v > gi else gi
-        U[:, j] = r
-    return PsorSolution(U, cfg, p, alpha, beta)
+        tau = j * k
+        try:
+            g = obstacle * math.exp(beta * tau)
+        except OverflowError:
+            raise _non_finite_level(j, tau, beta, p, cfg) from None
+        prev = U[j - 1]
+        rhs = c * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
+        r = eliminate(rhs[::-1])[::-1]  # r'_1 .. r'_last
+        gi = g[1:-1]
+        v = (r + c * g[:-2]) / dp
+        off = v > gi
+        u = U[j]
+        u[0], u[-1] = g[0], 0.0
+        if off.any():
+            i0 = int(off.argmax())
+            u[1 : i0 + 1] = gi[:i0]
+            r /= dp
+            r[i0] = v[i0]
+            np.maximum(substitute(r, i0), gi[i0:], out=u[i0 + 1 : -1])
+        else:
+            u[1:-1] = gi
+        if not math.isfinite(u.max()):
+            raise _non_finite_level(j, tau, beta, p, cfg)
+    return PsorSolution(U.T, cfg, p, alpha, beta)
 
 
 def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> BoundaryCurve:

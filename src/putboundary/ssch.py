@@ -175,6 +175,38 @@ def _theta_nodes(n: int):
     return cached
 
 
+def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig):
+    """The integral F at node tau_i as a function of the trial value eta_i,
+    for the path eta(tau_i sin^2 theta) = base + slope * eta_i sampled at
+    the quadrature nodes theta.
+
+    G = [eta_i - (base + slope eta_i) sin(th)]/cos(th) is affine in eta_i,
+    G = eta_i P + Q, so P, Q, the damping exponent -r tau_i cos^2(th) and
+    the factor sigma sqrt(tau_i/2) sin(th) are built once here, and each
+    evaluation of the returned function is a handful of array operations.
+    """
+    if not (tau_i > 0 and math.isfinite(tau_i)):
+        raise DomainError(f"tau_i must be positive, got {tau_i}")
+    st, ct, tt, w = _theta_nodes(cfg.finite_subintervals)
+    P = (1.0 - slope * st) / ct
+    Q = -base * st / ct
+    damping = -p.r * tau_i * ct * ct
+    drift = (p.sigma * math.sqrt(tau_i) / math.sqrt(2.0)) * st
+
+    def F(eta_i: float) -> float:
+        G = eta_i * P + Q
+        total = 2.0 * float(np.dot(w, np.exp(damping - G * G) * (drift + G * tt)))
+        # the weights are positive, so any non-finite integrand value
+        # leaves the sum non-finite
+        if not math.isfinite(total):
+            raise NumericalError(
+                f"non-finite integrand in the F integral at tau={tau_i:g}, eta={eta_i!r}"
+            )
+        return total
+
+    return F
+
+
 def big_f_eval(
     eta_i: float,
     tau_i: float,
@@ -189,19 +221,11 @@ def big_f_eval(
     for a flat path.  Closed Newton-Cotes on [0, pi/2] with the endpoint
     node shifted to pi/2 - eps: the integrand's G tan(theta) factor is an
     indeterminate 0 * inf exactly at pi/2, but approaches a finite one-sided
-    limit, so the shifted node supplies the endpoint value.
+    limit, so the shifted node supplies the endpoint value.  The integrand
+    is the one solve_eta_at evaluates, built for a path with no dependence
+    on eta_i; a non-finite integrand raises NumericalError.
     """
-    if not (tau_i > 0 and math.isfinite(tau_i)):
-        raise DomainError(f"tau_i must be positive, got {tau_i}")
-    cfg = cfg or QuadratureConfig()
-    st, ct, tt, w = _theta_nodes(cfg.finite_subintervals)
-    G = (eta_i - path * st) / ct
-    vals = np.exp(-p.r * tau_i * ct * ct - G * G) * (
-        (p.sigma * math.sqrt(tau_i) / math.sqrt(2.0)) * st + G * tt
-    )
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite integrand in the F integral")
-    return 2.0 * float(np.dot(w, vals))
+    return _f_of_eta(tau_i, path, 0.0, p, cfg or QuadratureConfig())(eta_i)
 
 
 def _log_argument(F: float, tau_i: float, p: MarketParams) -> float:
@@ -221,10 +245,11 @@ def solve_eta_at(
     """Value of eta at the next mesh node, given the path solved so far.
 
     The first positive node bypasses root finding and takes the closed
-    small-tau value.  Later nodes sample the path once and solve
-    H(eta) = eta^2 + ln A(eta) = 0 with the bracketed root finder, on a
-    bracket of half-width 0.05 around the previous node's value that
-    doubles, up to BRACKET_DOUBLINGS times, until it encloses a sign change.
+    small-tau value.  Later nodes sample the path and build the F integrand
+    once, then solve H(eta) = eta^2 + ln A(eta) = 0 with the bracketed root
+    finder, on a bracket of half-width 0.05 around the previous node's value
+    that doubles, up to BRACKET_DOUBLINGS times, until it encloses a sign
+    change.
     """
     cfg = cfg or QuadratureConfig()
     i = path.solved + 1
@@ -239,14 +264,14 @@ def solve_eta_at(
 
     tau_i = float(taus[i])
     st = _theta_nodes(cfg.finite_subintervals)[0]
-    base, slope = path.sample(tau_i * st * st)
+    F = _f_of_eta(tau_i, *path.sample(tau_i * st * st), p, cfg)
 
     @functools.cache
     def H(eta: float) -> float:
         """eta^2 + ln A(eta), extended by -inf where A <= 0, which is its
         limit as A falls to 0; a root is a solution e^{-eta^2} = A of
         either sign."""
-        A = _log_argument(big_f_eval(eta, tau_i, base + slope * eta, p, cfg), tau_i, p)
+        A = _log_argument(F(eta), tau_i, p)
         return eta * eta + math.log(A) if A > 0.0 else -math.inf
 
     prev = path.etas[-1]

@@ -266,3 +266,39 @@ def psor_sor_levels(p, cfg, tol: float, max_sweeps: int = 100_000) -> np.ndarray
             raise RuntimeError(f"SOR oracle did not converge at level {j}")
         U[:, j] = u
     return U
+
+
+def psor_brennan_schwartz_levels(p, cfg) -> np.ndarray:
+    """The Crank-Nicolson march of psor.psor_solve with each level's
+    Brennan-Schwartz step as two plain Python loops: elimination from right
+    to left, r'_i = r_i + (c/d'_{i+1}) r'_{i+1}, then the substitution from
+    left to right, u_i = max((r'_i + c u_{i-1})/d'_i, g_i).  The reference
+    for the prefix scans in the package; returns the u grid."""
+    alpha = p.r / p.sigma**2 - 0.5
+    beta = 0.5 * p.r + p.sigma**2 / 8.0 + p.r**2 / (2.0 * p.sigma**2)
+    lam = p.sigma**2 * cfg.k / (2.0 * cfg.h * cfg.h)
+    c = 0.5 * lam
+    x = np.linspace(-cfg.L, cfg.L, 2 * cfg.n + 1)
+    obstacle = np.exp(alpha * x) * np.maximum(1.0 - np.exp(x), 0.0)
+    last = 2 * cfg.n - 1
+    dp = [0.0] * (2 * cfg.n + 1)
+    dp[last] = 1.0 + lam
+    for i in range(last - 1, 0, -1):
+        dp[i] = 1.0 + lam - c * c / dp[i + 1]
+    ratio = [c / dp[i + 1] for i in range(last)]
+    U = np.empty((x.size, cfg.m + 1))
+    U[:, 0] = obstacle
+    for j in range(1, cfg.m + 1):
+        g = (obstacle * math.exp(beta * (j * cfg.k))).tolist()
+        prev = U[:, j - 1]
+        rhs = np.zeros_like(prev)
+        rhs[1:-1] = c * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
+        r = rhs.tolist()
+        for i in range(last - 1, 0, -1):
+            r[i] += ratio[i] * r[i + 1]
+        left = r[0] = g[0]
+        for i in range(1, last + 1):
+            v = (r[i] + c * left) / dp[i]
+            left = r[i] = v if v > g[i] else g[i]
+        U[:, j] = r
+    return U

@@ -6,6 +6,7 @@ import pytest
 from putboundary import MarketParams, rho_zhu
 from putboundary.cli import (
     EXIT_DOMAIN,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     _method_evaluator,
@@ -50,6 +51,18 @@ class TestBoundaryCommand:
         code, out, err = run_cli(capsys, "boundary", "--method", "kk", "--tau", "10")
         assert code == EXIT_DOMAIN
         assert "log" in err  # names the violated logarithm condition
+
+    def test_psor_overflow_exit_code(self, capsys):
+        """The transform's growth e^(beta tau) overflows at level 36: a
+        numerical failure with its exit code, not a traceback."""
+        code, out, err = run_cli(
+            capsys,
+            "boundary", "--method", "psor", "--r", "1", "--sigma", "0.05",
+            "--T", "5", "--n", "20", "--m", "50", "--L", "0.5",
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "level 36 (tau=3.6)" in err
 
     def test_unknown_method_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "boundary", "--method", "bogus", "--tau", "1")

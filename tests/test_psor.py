@@ -8,13 +8,14 @@ from putboundary import (
     DomainError,
     MarketParams,
     NoContactError,
+    NumericalError,
     PsorConfig,
     european_put,
     extract_boundary,
     price_at,
     psor_solve,
 )
-from putboundary.psor import transform_constants
+from putboundary.psor import _LinearScan, transform_constants
 
 import oracles
 
@@ -31,6 +32,28 @@ class TestTransform:
         alpha, beta = transform_constants(params)
         assert alpha == pytest.approx(0.1 / 0.09 - 0.5, rel=1e-14)
         assert beta == pytest.approx(0.05 + 0.09 / 8 + 0.01 / 0.18, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "r, sigma, grid, where",
+        [
+            # e^(beta tau) itself overflows from tau ~ 3.54 (beta = 200.5)
+            (1.0, 0.05, dict(n=20, m=50, T=5.0, L=0.5), "level 36 (tau=3.6)"),
+            # e^(beta tau) = e^709.66 is finite, the payoff times it is not
+            (0.01, 10.0, dict(n=20, m=1, T=56.75, L=2.0), "level 1 (tau=56.75)"),
+        ],
+    )
+    def test_non_finite_level_is_a_typed_error(self, r, sigma, grid, where):
+        """A level beyond float range raises NumericalError naming the
+        level, tau, the market and the grid; it neither escapes as
+        OverflowError nor comes back as inf or NaN."""
+        p = MarketParams(r=r, sigma=sigma, strike=100.0)
+        cfg = PsorConfig(**grid)
+        with pytest.raises(NumericalError) as info:
+            psor_solve(p, cfg)
+        msg = str(info.value)
+        assert where in msg
+        assert f"r={r:g}, sigma={sigma:g}" in msg
+        assert f"n={cfg.n}, m={cfg.m}, T={cfg.T:g}, L={cfg.L:g}" in msg
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -155,3 +178,94 @@ class TestAgainstSorOracle:
         cfg = PsorConfig(n=30, m=10, T=0.5)
         other = dataclasses.replace(cfg, omega=0.3, tol=1e-3)
         assert np.array_equal(psor_solve(params, cfg).u, psor_solve(params, other).u)
+
+
+def _recurrence(a, b, start=0):
+    """y_start = b_start, y_i = b_i + a_i y_{i-1}, one step at a time."""
+    y = [float(b[start])]
+    for i in range(start + 1, len(b)):
+        y.append(float(b[i]) + float(a[i]) * y[-1])
+    return np.array(y)
+
+
+class TestLinearScan:
+    """The prefix-scan form of y_i = b_i + a_i y_{i-1} against the plain
+    recurrence."""
+
+    rng = np.random.default_rng(7)
+
+    @pytest.mark.parametrize("a_lo, a_hi", [(1e-6, 1e-3), (0.3, 0.7), (1.0 - 1e-9, 1.0)])
+    def test_matches_recurrence(self, a_lo, a_hi):
+        a = self.rng.uniform(a_lo, a_hi, 3000)
+        b = self.rng.uniform(-1.0, 1.0, 3000)
+        scan = _LinearScan(a)
+        for start in (0, 1, 1234):
+            want = _recurrence(a, b, start)
+            got = scan(b, start)
+            # measured: <= 7.1e-15, with a near 1 where y sums ~3000 terms
+            assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max(), (a_lo, start)
+
+    def test_block_boundaries(self):
+        """With a = 1e-3 a block holds 87 coefficients (D = 1e-258 ~ e^-594
+        at its end), so 1000 coefficients make 12 blocks; starts on, just
+        before and just after a block boundary all agree with the
+        recurrence."""
+        a = np.full(1000, 1e-3)
+        b = self.rng.uniform(0.5, 1.0, 1000)
+        scan = _LinearScan(a)
+        assert len(scan.bounds) - 1 == 12
+        edge = scan.bounds[3]
+        for start in (0, edge - 1, edge, edge + 1, 999):
+            want = _recurrence(a, b, start)
+            assert np.abs(scan(b, start) - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_coefficient_near_zero_starts_a_block(self):
+        a = np.full(50, 0.5)
+        a[[10, 11, 30]] = 1e-300
+        b = self.rng.uniform(-1.0, 1.0, 50)
+        scan = _LinearScan(a)
+        assert {10, 11, 30} <= set(scan.bounds)
+        want = _recurrence(a, b)
+        assert np.abs(scan(b) - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("size", [1e300, 1e-300])
+    def test_extreme_values_stay_finite(self, size):
+        """b near 1e300 and y up to ~7e300 stay finite, though b/D alone
+        would overflow: 1/D reaches 0.875^-1999 ~ 1e116 in the one block."""
+        a = np.full(2000, 0.875)
+        b = size * self.rng.uniform(0.5, 1.0, 2000)
+        want = _recurrence(a, b)
+        got = _LinearScan(a)(b)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_zero_right_hand_side(self):
+        assert np.array_equal(_LinearScan(np.full(5, 0.5))(np.zeros(5)), np.zeros(5))
+
+
+# (n, m, T, L) with lam = sigma^2 k / (2 h^2) at sigma = 0.3 from 9e-4 to
+# 2.3e3; at lam = 9e-4 c/d' ~ 4.5e-4, so each scan of 199 nodes runs in 3
+# blocks
+ORACLE_GRIDS = [
+    (100, 50, 1e-4, 1.0),  # lam 9e-4
+    (300, 30, 5e-4, 1.5),  # lam 0.03
+    (100, 400, 1.0, 1.0),  # lam 1.1
+    (1000, 1000, 1.0, 2.5),  # CLI boundary/compare defaults at T = 1, lam 7.2
+    (200, 200, 5.0, 1.0),  # long-horizon table grid, lam 45
+    (1200, 600, 0.006, 0.06),  # mispricing defaults, lam 180
+    (1000, 20, 1.0, 1.0),  # lam 2.3e3
+]
+
+
+class TestAgainstLoopOracle:
+    """The two prefix scans per level against the Brennan-Schwartz step
+    written as two Python loops."""
+
+    @pytest.mark.parametrize("n, m, T, L", ORACLE_GRIDS)
+    def test_scans_match_loops(self, n, m, T, L):
+        cfg = PsorConfig(n=n, m=m, T=T, L=L)
+        for gamma in (0.6, 1.0, 3.0, 6.0):
+            p = MarketParams(r=0.5 * gamma * 0.3**2, sigma=0.3, strike=100.0)
+            ref = oracles.psor_brennan_schwartz_levels(p, cfg)
+            # measured: <= 9.3e-14, at lam = 180
+            assert np.abs(psor_solve(p, cfg).u - ref).max() <= 1e-13 * np.abs(ref).max(), gamma

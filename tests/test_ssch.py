@@ -11,6 +11,7 @@ from putboundary import (
     MarketParams,
     MeshError,
     MeshKind,
+    NumericalError,
     PsorConfig,
     QuadratureConfig,
     big_f_eval,
@@ -177,8 +178,7 @@ class TestNodeSolve:
 
     @staticmethod
     def _flat_log_argument(monkeypatch, A):
-        """H(eta) = eta^2 + ln A, whatever the path."""
-        monkeypatch.setattr(ssch, "big_f_eval", lambda *args: 0.0)
+        """H(eta) = eta^2 + ln A, whatever F is."""
         monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: A)
 
     def test_root_in_last_widened_bracket(self, params, monkeypatch):
@@ -205,6 +205,12 @@ class TestNodeSolve:
         path = EtaPath(grid, params, [-1.0])
         with pytest.raises(LogDomainError, match=r"node 2 \(tau=0\.004\)"):
             solve_eta_at(path, float(grid.taus[2]), params)
+
+    def test_non_finite_integrand_is_a_numerical_error(self, params):
+        path = np.full(QuadratureConfig().finite_subintervals + 1, -1.0)
+        path[17] = math.nan
+        with pytest.raises(NumericalError, match=r"non-finite integrand .* tau=0\.5"):
+            big_f_eval(-0.5, 0.5, path, params)
 
     def test_wrong_node_rejected(self, params):
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
@@ -235,6 +241,18 @@ class TestBoundarySolve:
             partial = EtaPath(grid, params, full[: i - 1])
             again = solve_eta_at(partial, float(grid.taus[i]), params, cfg)
             assert again == full[i - 1]
+
+    def test_non_finite_integrand_names_the_node(self, params, monkeypatch):
+        """A NaN in the sampled path (here from the small-tau formula on
+        (0, tau_1)) stops the solve at the first node that integrates it."""
+        closed = ssch.eta_lowest_order
+
+        def nan_on_arrays(tau, p):
+            return np.full(np.shape(tau), math.nan) if np.ndim(tau) else closed(tau, p)
+
+        monkeypatch.setattr(ssch, "eta_lowest_order", nan_on_arrays)
+        with pytest.raises(NumericalError, match=r"failed at node 2: non-finite integrand"):
+            solve_boundary(params, 0.1, 20, cfg=SMOKE)
 
     def test_monotone_and_in_range(self, params):
         curve = solve_boundary(params, 5.0, 60, cfg=SMOKE)
