@@ -2,8 +2,8 @@
 
 Five closed-form near-expiry approximations, a closed integral formula with
 its convexity analysis, a sequential solver for the governing nonlinear
-integral equation, a finite-difference benchmark, and the
-Green's-function machinery that turns boundary differences into option
+integral equation, a finite-difference benchmark, and the closed
+normal-CDF price-gap integral that turns boundary differences into option
 mispricing numbers.
 """
 
@@ -45,7 +45,6 @@ from .ssch import (
     LogDomainError,
     MeshError,
     MeshKind,
-    big_f_eval,
     build_mesh,
     solve_boundary,
     solve_eta_at,
@@ -60,10 +59,8 @@ from .psor import (
 )
 from .pricing import (
     DegenerateDenominatorError,
-    PriceTransformConsts,
     boundary_rel_err,
     european_put,
-    green_kernel,
     mispricing_err,
     price_gap_at_boundary,
     price_gap_full,

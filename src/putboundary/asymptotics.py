@@ -41,6 +41,12 @@ def _check_tau(tau: float):
         raise DomainError(f"tau must be positive and finite, got {tau}")
 
 
+def _log_eta_argument(tau, p: MarketParams, xp=math):
+    """ln[(2r/sigma) sqrt(2 pi tau) e^{r tau}], summed in log space so that
+    no factor overflows at large tau; xp is math for a float, np for arrays."""
+    return math.log(2.0 * p.r / p.sigma) + 0.5 * xp.log(2.0 * math.pi * tau) + p.r * tau
+
+
 def eta_lowest_order(tau, p: MarketParams):
     """Lowest-order auxiliary function eta(tau) of the boundary representation
     rho = E exp(-(r - sigma^2/2) tau + sigma sqrt(2 tau) eta).
@@ -54,12 +60,12 @@ def eta_lowest_order(tau, p: MarketParams):
     t = float(tau) if scalar else np.asarray(tau, dtype=float)
     if scalar and not t > 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    arg = (2.0 * p.r / p.sigma) * xp.sqrt(2.0 * math.pi * t) * xp.exp(p.r * t)
-    if (arg >= 1.0) if scalar else np.any(arg >= 1.0):
+    log_arg = _log_eta_argument(t, p, xp)
+    if (log_arg >= 0.0) if scalar else np.any(log_arg >= 0.0):
         raise DomainError(
             "log argument (2r/sigma) sqrt(2 pi tau) e^(r tau) >= 1; tau too large"
         )
-    return -xp.sqrt(-xp.log(arg))
+    return -xp.sqrt(-log_arg)
 
 
 def rho_kk(tau: float, p: MarketParams) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import eta_lowest_order
+from .asymptotics import _log_eta_argument, eta_lowest_order
 from .core import (
     BoundaryCurve,
     BracketError,
@@ -52,7 +52,6 @@ __all__ = [
     "LogDomainError",
     "EtaPath",
     "build_mesh",
-    "big_f_eval",
     "solve_eta_at",
     "solve_boundary",
 ]
@@ -91,12 +90,12 @@ def build_mesh(T: float, m: int, kind: MeshKind, p: MarketParams) -> TauGrid:
         taus = (i / m) ** 2 * T
     else:
         taus = (i / m) * T
-    tau1 = taus[1]
-    arg = (2.0 * p.r / p.sigma) * math.sqrt(2.0 * math.pi * tau1) * math.exp(p.r * tau1)
-    if arg >= 1.0:
+    tau1 = float(taus[1])
+    log_arg = _log_eta_argument(tau1, p)
+    if log_arg >= 0.0:
         raise MeshError(
             f"first node tau_1={tau1:g} inadmissible: (2r/sigma) sqrt(2 pi tau_1) "
-            f"e^(r tau_1) = {arg:.6g} >= 1; increase m"
+            f"e^(r tau_1) = e^{log_arg:.6g} >= 1; increase m"
         )
     return TauGrid(taus)
 
@@ -157,22 +156,20 @@ class EtaPath:
         return base, slope
 
 
-_theta_cache: dict[int, tuple[np.ndarray, ...]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _theta_nodes(n: int):
-    """Quadrature nodes on [0, pi/2] with the last node pulled inside the
-    interval, as the trig factors sin, cos and tan reused by every
-    integrand evaluation, plus the weights."""
-    cached = _theta_cache.get(n)
-    if cached is None:
-        theta = np.linspace(0.0, math.pi / 2.0, n + 1)
-        theta[-1] = math.pi / 2.0 - (math.pi / 2.0) / (10.0 * n)
-        w = _boole_weights(n) * (2.0 * (math.pi / 2.0 / n) / 45.0)
-        cached = (np.sin(theta), np.cos(theta), np.tan(theta), w)
-        if len(_theta_cache) < 64:
-            _theta_cache[n] = cached
-    return cached
+    """Closed Newton-Cotes nodes on [0, pi/2] as the trig factors sin, cos
+    and tan reused by every integrand evaluation, plus the weights.
+
+    The endpoint node is shifted to pi/2 - eps: the F integrand's
+    G tan(theta) factor is an indeterminate 0 * inf exactly at pi/2, but
+    approaches a finite one-sided limit, so the shifted node supplies the
+    endpoint value.
+    """
+    theta = np.linspace(0.0, math.pi / 2.0, n + 1)
+    theta[-1] = math.pi / 2.0 - (math.pi / 2.0) / (10.0 * n)
+    w = _boole_weights(n) * (2.0 * (math.pi / 2.0 / n) / 45.0)
+    return np.sin(theta), np.cos(theta), np.tan(theta), w
 
 
 def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig):
@@ -205,27 +202,6 @@ def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig)
         return total
 
     return F
-
-
-def big_f_eval(
-    eta_i: float,
-    tau_i: float,
-    path,
-    p: MarketParams,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """The integral F at node tau_i for a trial value eta_i.
-
-    path holds eta(tau_i sin^2 theta) at the quadrature nodes theta of the
-    cfg.finite_subintervals rule (EtaPath.sample gives it); a scalar stands
-    for a flat path.  Closed Newton-Cotes on [0, pi/2] with the endpoint
-    node shifted to pi/2 - eps: the integrand's G tan(theta) factor is an
-    indeterminate 0 * inf exactly at pi/2, but approaches a finite one-sided
-    limit, so the shifted node supplies the endpoint value.  The integrand
-    is the one solve_eta_at evaluates, built for a path with no dependence
-    on eta_i; a non-finite integrand raises NumericalError.
-    """
-    return _f_of_eta(tau_i, path, 0.0, p, cfg or QuadratureConfig())(eta_i)
 
 
 def _log_argument(F: float, tau_i: float, p: MarketParams) -> float:

@@ -86,17 +86,40 @@ def black_scholes_put_mp(S, E, r, sigma, tau, dps: int = 30) -> float:
         return float(E * mp.exp(-r * tau) * ncdf(-d2) - S * ncdf(-d1))
 
 
+def heat_kernel(x, tau: float, sigma: float):
+    """G(x, tau) = exp(-x^2/(2 sigma^2 tau)) / sqrt(2 pi sigma^2 tau); unit
+    mass over the real line for every tau > 0."""
+    v = sigma * sigma * tau
+    x = np.asarray(x, dtype=float)
+    return np.exp(-(x * x) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+
+
+def price_transform_consts(p) -> tuple[float, float]:
+    """(alpha_p, beta_p) of the price-gap double integral, written out from
+    the heat-equation transform of the Black-Scholes operator."""
+    alpha_p = 0.5 - p.r / p.sigma**2
+    beta_p = -0.5 * p.r - p.r**2 / (2.0 * p.sigma**2) - p.sigma**2 / 8.0
+    return alpha_p, beta_p
+
+
 def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
-    """pricing.price_gap_full as one Python loop over the outer nodes, each
-    inner integral on its own np.linspace grid: the reference for the
-    blocked evaluation in the package."""
+    """The price gap at spot S as the double heat-kernel integral
+
+        r E int_0^tau | int_{ln(rho_app(xi)/E)}^{ln(rho(xi)/E)}
+            G(x - s, tau - xi) e^{alpha_p (x - s) + beta_p (tau - xi)} ds | dxi,
+
+    x = ln(S/E): one Python loop over the outer nodes (s = sqrt(tau - xi),
+    Boole's rule), each inner integral by Boole's rule on its own
+    np.linspace grid.  The package collapses the inner integral to a
+    difference of normal CDFs; this route integrates the kernel numerically,
+    so it converges to the package's value as cfg.finite_subintervals grows.
+    """
     from putboundary.core import QuadratureConfig, _boole_weights, _eval_on_nodes
-    from putboundary.pricing import PriceTransformConsts
 
     cfg = cfg or QuadratureConfig()
     n = cfg.finite_subintervals
     E = p.strike
-    consts = PriceTransformConsts.from_params(p)
+    alpha_p, beta_p = price_transform_consts(p)
     x = math.log(S / E)
 
     smax = math.sqrt(tau)
@@ -117,15 +140,10 @@ def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
         if a == b:
             outer_vals[k] = 0.0
             continue
-        sg = np.linspace(a, b, n + 1)
-        z = x - sg
-        var = p.sigma * p.sigma * wgt
-        inner_vals = (
-            np.exp(-(z * z) / (2.0 * var) + consts.alpha_p * z)
-            / math.sqrt(2.0 * math.pi * var)
-        )
+        z = x - np.linspace(a, b, n + 1)
+        inner_vals = heat_kernel(z, wgt, p.sigma) * np.exp(alpha_p * z)
         inner = (b - a) / n * float(np.dot(w_in, inner_vals))
-        outer_vals[k] = 2.0 * st[k] * math.exp(consts.beta_p * wgt) * abs(inner)
+        outer_vals[k] = 2.0 * st[k] * math.exp(beta_p * wgt) * abs(inner)
     w_out = _boole_weights(n) * (2.0 * (smax / n) / 45.0)
     return p.r * E * float(np.dot(w_out, outer_vals))
 

@@ -36,12 +36,10 @@ from putboundary import (
     extract_boundary,
     f2_max,
     gamma_critical,
-    green_kernel,
     integrate_newton_cotes,
     mispricing_err,
     norm_cdf,
     price_gap_at_boundary,
-    price_gap_full,
     psor_solve,
     rho_ekk,
     rho_kk,
@@ -293,14 +291,15 @@ def test_criterion_09_mispricing_sweep(mispricing_benchmark):
 
 
 def test_criterion_10_oracle_equivalence(params):
-    """Dual-route price gap, kernel normalisation and the CDF oracle."""
+    """The closed-form price gap against the double heat-kernel integral of
+    the test oracles, the mass of that oracle's kernel, and the CDF oracle."""
     bad = []
     cfg = QuadratureConfig(finite_subintervals=500)
     curve = solve_boundary(params, 0.12, 60, cfg=cfg)
     app = lambda t: params.strike if t == 0.0 else rho_zhu_asymptote(t, params)
     for tau in (0.001, 0.01, 0.1):
         S = float(curve.value(tau))
-        full = price_gap_full(curve, app, S, tau, params)
+        full = oracles.price_gap_full_rows(curve, app, S, tau, params)
         direct = price_gap_at_boundary(curve, app, tau, params)
         if abs(full - direct) > 1e-6 * params.strike:
             bad.append(f"gap routes differ by {abs(full - direct):.2e} at tau={tau}")
@@ -308,7 +307,7 @@ def test_criterion_10_oracle_equivalence(params):
     for tau in (0.01, 0.1, 1.0):
         width = 10.0 * params.sigma * math.sqrt(tau)
         total = integrate_newton_cotes(
-            lambda x: green_kernel(x, tau, params.sigma), -width, width, qcfg
+            lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, qcfg
         )
         if abs(total - 1.0) > 1e-10:
             bad.append(f"kernel mass {total!r} at tau={tau}")

@@ -64,6 +64,24 @@ class TestBoundaryCommand:
         assert out == ""
         assert "level 36 (tau=3.6)" in err
 
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (("--method", "ssc-a", "--tau", "1e5"), "tau too large"),
+            (("--method", "ssch", "--T", "1e5", "--m", "2"), "tau_1=25000 inadmissible"),
+        ],
+        ids=["ssc-a", "ssch"],
+    )
+    def test_large_tau_log_argument_exit_code(self, capsys, argv, detail):
+        """e^(r tau) of the lowest-order log argument overflows a float once
+        r tau > 709 (here 10^4 and 2,500); in log space the argument is
+        simply >= 1, a domain error with one line on stderr."""
+        code, out, err = run_cli(capsys, "boundary", *argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("putboundary: domain error: ")
+        assert detail in err
+
     def test_unknown_method_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "boundary", "--method", "bogus", "--tau", "1")
         assert code == EXIT_USAGE

@@ -14,7 +14,6 @@ from putboundary import (
     NumericalError,
     PsorConfig,
     QuadratureConfig,
-    big_f_eval,
     build_mesh,
     eta_lowest_order,
     extract_boundary,
@@ -23,7 +22,7 @@ from putboundary import (
     solve_eta_at,
 )
 from putboundary import ssch
-from putboundary.ssch import _log_argument, _theta_nodes
+from putboundary.ssch import _f_of_eta, _log_argument, _theta_nodes
 
 # long-horizon reference column for the iterative solver
 SSCH_TABLE = {
@@ -49,10 +48,10 @@ def increment(path, eta_i, tau_i, theta):
 def f_on_path(path, eta_i, tau_i, p, cfg=None):
     """F at the next node for the trial eta_i, with the path sampled on the
     nodes of the theta rule."""
-    n = (cfg or QuadratureConfig()).finite_subintervals
-    st = _theta_nodes(n)[0]
+    cfg = cfg or QuadratureConfig()
+    st = _theta_nodes(cfg.finite_subintervals)[0]
     base, slope = path.sample(tau_i * st * st)
-    return big_f_eval(eta_i, tau_i, base + slope * eta_i, p, cfg)
+    return _f_of_eta(tau_i, base, slope, p, cfg)(eta_i)
 
 
 class TestMesh:
@@ -121,14 +120,14 @@ class TestPathAndMappings:
     def test_f_flat_zero_path_closed_form(self):
         """G == 0 collapses F to 2 int (sigma sqrt(tau)/sqrt(2)) sin = sigma sqrt(2 tau)."""
         p = MarketParams(r=1e-12, sigma=0.3, strike=100.0)
-        got = big_f_eval(0.0, 0.04, 0.0, p)
+        got = _f_of_eta(0.04, 0.0, 0.0, p, QuadratureConfig())(0.0)
         assert got == pytest.approx(p.sigma * math.sqrt(2 * 0.04), abs=1e-10)
 
     def test_f_tau_dependence_collapses_like_sqrt_tau(self, params):
         # with a frozen path shape only the sigma sqrt(tau) sin-term and the
         # e^{-r tau cos^2} damping depend on tau, both O(sqrt(tau)) and O(tau)
-        f_a = big_f_eval(-1.0, 1e-6, -1.0, params)
-        f_b = big_f_eval(-1.0, 1e-10, -1.0, params)
+        f_a = _f_of_eta(1e-6, -1.0, 0.0, params, QuadratureConfig())(-1.0)
+        f_b = _f_of_eta(1e-10, -1.0, 0.0, params, QuadratureConfig())(-1.0)
         bound = params.sigma * math.sqrt(2.0) * (math.sqrt(1e-6) + math.sqrt(1e-10))
         assert abs(f_a - f_b) < bound
 
@@ -210,7 +209,7 @@ class TestNodeSolve:
         path = np.full(QuadratureConfig().finite_subintervals + 1, -1.0)
         path[17] = math.nan
         with pytest.raises(NumericalError, match=r"non-finite integrand .* tau=0\.5"):
-            big_f_eval(-0.5, 0.5, path, params)
+            _f_of_eta(0.5, path, 0.0, params, QuadratureConfig())(-0.5)
 
     def test_wrong_node_rejected(self, params):
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
