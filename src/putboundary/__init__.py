@@ -19,7 +19,6 @@ from .core import (
     TailTooHeavyError,
     TauGrid,
     find_root_bracketed,
-    integrate_newton_cotes,
     norm_cdf,
 )
 from .asymptotics import (

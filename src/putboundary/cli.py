@@ -116,6 +116,11 @@ def build_parser() -> _Parser:
     return ap
 
 
+# parse_args leaves the parser unchanged, and usage and help output look up
+# sys.stdout and sys.stderr when they print, so one tree serves every call
+_PARSER = build_parser()
+
+
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
@@ -219,8 +224,11 @@ def cmd_compare(args, parser: _Parser) -> int:
     taus = _parse_taus(args.tau, parser)
     T = max(taus)
 
-    # columns are positional so the same method may appear twice
-    unique = {mname: _method_evaluator(mname, p, T, args) for mname in set(methods)}
+    # columns are positional so the same method may appear twice; evaluators
+    # are built in command-line order, so the first to fail is the one reported
+    unique = {
+        mname: _method_evaluator(mname, p, T, args) for mname in dict.fromkeys(methods)
+    }
     bench_pos = methods.index(bench)
     values: list[list[float | None]] = []
     for t in taus:
@@ -316,13 +324,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    May be called repeatedly in one process: every call parses with the one
+    parser built at import.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, _PARSER)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except DomainError as exc:

@@ -3,8 +3,8 @@
 Everything downstream (closed-form approximations, the iterative
 integral-equation solver, the finite-difference benchmark, price-gap
 integrals) is built on the primitives in this module: the normal CDF,
-composite Newton-Cotes quadrature and Brent's bracketed root finder.  All
-functions are pure and safe to call concurrently.
+composite Newton-Cotes (Boole) weights and Brent's bracketed root finder.
+All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "BoundaryCurve",
     "QuadratureConfig",
     "norm_cdf",
-    "integrate_newton_cotes",
     "find_root_bracketed",
 ]
 
@@ -232,28 +231,6 @@ def _eval_on_nodes(f, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         y = np.fromiter((float(f(xi)) for xi in x.tolist()), dtype=float, count=x.size)
     return y
-
-
-def integrate_newton_cotes(f, a: float, b: float, cfg: QuadratureConfig) -> float:
-    """Composite closed fourth-degree Newton-Cotes rule on [a, b].
-
-    Exact for polynomials of degree <= 5 on each panel.  Raises
-    QuadratureNodeError naming the offending abscissa if the integrand
-    produces a non-finite value anywhere on the grid.
-    """
-    if not a <= b:
-        raise DomainError(f"invalid interval [{a}, {b}]")
-    if a == b:
-        return 0.0
-    n = cfg.finite_subintervals
-    x = np.linspace(a, b, n + 1)
-    y = _eval_on_nodes(f, x)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureNodeError(float(x[i]), float(y[i]))
-    h = (b - a) / n
-    return float((2.0 * h / 45.0) * np.dot(_boole_weights(n), y))
 
 
 def find_root_bracketed(g, lo: float, hi: float, cfg: QuadratureConfig) -> float:

@@ -57,6 +57,37 @@ def refine_integral(f, a: float, b: float, max_n: int = 1 << 20) -> float:
     return float(prev)
 
 
+def integrate_newton_cotes(f, a: float, b: float, cfg) -> float:
+    """Composite closed fourth-degree Newton-Cotes (Boole) rule on [a, b]
+    with cfg.finite_subintervals subintervals, on the package's Boole
+    weights.
+
+    Exact for polynomials of degree <= 5 on each panel.  Raises
+    QuadratureNodeError naming the offending abscissa if the integrand
+    produces a non-finite value anywhere on the grid.
+    """
+    from putboundary.core import (
+        DomainError,
+        QuadratureNodeError,
+        _boole_weights,
+        _eval_on_nodes,
+    )
+
+    if not a <= b:
+        raise DomainError(f"invalid interval [{a}, {b}]")
+    if a == b:
+        return 0.0
+    n = cfg.finite_subintervals
+    x = np.linspace(a, b, n + 1)
+    y = _eval_on_nodes(f, x)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureNodeError(float(x[i]), float(y[i]))
+    h = (b - a) / n
+    return float((2.0 * h / 45.0) * np.dot(_boole_weights(n), y))
+
+
 def dottie_fixed_point() -> float:
     """Root of cos(x) = x by damped fixed-point iteration."""
     x = 0.7
@@ -185,7 +216,7 @@ def _integrate_semi_infinite_nc(f, z: float, n: int, cfg, block: int = 1 << 18) 
     plus the tail bound from |f| at z and 1.1 z."""
     from dataclasses import replace
 
-    from putboundary.core import TailTooHeavyError, integrate_newton_cotes
+    from putboundary.core import TailTooHeavyError
 
     result = 0.0
     for k0 in range(0, n, block):

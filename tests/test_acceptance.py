@@ -36,7 +36,6 @@ from putboundary import (
     extract_boundary,
     f2_max,
     gamma_critical,
-    integrate_newton_cotes,
     mispricing_err,
     norm_cdf,
     price_gap_at_boundary,
@@ -306,7 +305,7 @@ def test_criterion_10_oracle_equivalence(params):
     qcfg = QuadratureConfig(finite_subintervals=4000)
     for tau in (0.01, 0.1, 1.0):
         width = 10.0 * params.sigma * math.sqrt(tau)
-        total = integrate_newton_cotes(
+        total = oracles.integrate_newton_cotes(
             lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, qcfg
         )
         if abs(total - 1.0) > 1e-10:

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from putboundary import MarketParams, rho_zhu
+from putboundary import MarketParams, cli, rho_zhu
 from putboundary.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERICAL,
@@ -352,3 +356,102 @@ class TestOutputContract:
         val_narrow = narrow.strip().split("\n")[1].split(",")[1]
         val_wide = wide.strip().split("\n")[1].split(",")[1]
         assert len(val_wide) > len(val_narrow)
+
+
+GOLDEN_MARKET = ("0.1", "0.15", "1")
+
+#: (argv, exit code, stdout, stderr) of each command run alone; a stderr of
+#: None is argparse's usage text, whose wrapping follows the terminal width
+SOLO_RUNS = [
+    (
+        ("compare", "--method", "kk,ekk,ssc-a,chen-chadam,zhu-asymptote,zhu",
+         "--benchmark", "zhu", "--tau", "1e-5,1e-3,0.1,5",
+         "--r", GOLDEN_MARKET[0], "--sigma", GOLDEN_MARKET[1], "--E", GOLDEN_MARKET[2]),
+        EXIT_OK, COMPARE_GOLDEN[GOLDEN_MARKET], "",
+    ),
+    (("boundary", "--method", "bogus", "--tau", "1"), EXIT_USAGE, "", None),
+    (
+        ("compare", "--method", "ekk", "--benchmark", "ekk", "--tau", "1e-4"),
+        EXIT_USAGE, "", "putboundary: error: compare needs at least two methods\n",
+    ),
+    (
+        ("boundary", "--method", "kk", "--tau", "10"),
+        EXIT_DOMAIN, "",
+        "putboundary: domain error: kk formula undefined: log argument 7.92665 >= 1\n",
+    ),
+    (
+        ("boundary", "--method", "ekk", "--tau", "1e-4,1e-3"),
+        EXIT_OK, "tau,rho\n0.0001,99.1418\n0.001,97.6994\n", "",
+    ),
+    (("gamma0",), EXIT_OK, "0.01678208\n", ""),
+]
+
+
+class TestRepeatedCalls:
+    """main parses every call with one parser built at import."""
+
+    def test_sequence_matches_solo_runs(self, capsys):
+        results = []
+        for _ in range(2):
+            for argv, code, out, err in SOLO_RUNS + SOLO_RUNS[:1]:
+                got = run_cli(capsys, *argv)
+                assert got[:2] == (code, out), argv
+                if err is not None:
+                    assert got[2] == err, argv
+                results.append(got)
+        half = len(results) // 2
+        assert results[half:] == results[:half]
+        usage_err = results[1][2]
+        assert usage_err.startswith("usage: putboundary boundary [-h] --method")
+        assert usage_err.endswith(
+            "putboundary boundary: error: argument --method: invalid choice: 'bogus' "
+            "(choose from 'kk', 'ekk', 'ssc-a', 'chen-chadam', 'zhu-asymptote', "
+            "'zhu', 'ssch', 'psor')\n"
+        )
+
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        assert run_cli(capsys, "gamma0") == (EXIT_OK, "0.01678208\n", "")
+        code, out, err = run_cli(capsys, "gamma0", "--help")
+        assert code == EXIT_OK and out.startswith("usage: putboundary gamma0") and err == ""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv, hash_seed=None):
+    """`python -m putboundary.cli argv` in a fresh process on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run(
+        [sys.executable, "-m", "putboundary.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestEntryPoint:
+    """The `if __name__ == "__main__"` path: exit codes reach the shell."""
+
+    def test_exit_codes_and_stdout(self, capsys):
+        gamma0 = run_module("gamma0")
+        assert (gamma0.returncode, gamma0.stderr) == (EXIT_OK, "")
+        assert gamma0.stdout == run_cli(capsys, "gamma0")[1]
+        assert run_module("boundary", "--method", "kk", "--tau", "10").returncode == EXIT_DOMAIN
+        assert run_module("--bogus").returncode == EXIT_USAGE
+
+    def test_compare_failure_independent_of_hash_seed(self):
+        """Two solvers fail here; the first listed, ssch, is reported under
+        every hash seed (psor's overflow came first under most seeds)."""
+        argv = ("compare", "--method", "ssch,psor,kk", "--benchmark", "ssch",
+                "--tau", "1e4", "--m", "200", "--n", "50")
+        runs = [run_module(*argv, hash_seed=seed) for seed in (0, 4)]
+        for run in runs:
+            assert run.returncode == EXIT_NUMERICAL and run.stdout == ""
+            assert run.stderr.startswith(
+                "putboundary: numerical failure: boundary solve failed at node 15"
+            )
+        assert runs[0].stderr == runs[1].stderr

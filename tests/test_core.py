@@ -15,7 +15,6 @@ from putboundary import (
     QuadratureNodeError,
     TauGrid,
     find_root_bracketed,
-    integrate_newton_cotes,
     norm_cdf,
 )
 from putboundary.core import norm_cdf_array
@@ -58,23 +57,25 @@ class TestNormCdf:
 
 
 class TestNewtonCotes:
+    """The oracle's composite rule on core's Boole weights, which the
+    pricing and ssch quadratures use."""
+
     def test_linear_exact(self):
-        assert integrate_newton_cotes(lambda x: x, 0.0, 1.0, CFG) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        got = oracles.integrate_newton_cotes(lambda x: x, 0.0, 1.0, CFG)
+        assert got == pytest.approx(0.5, abs=1e-15)
 
     def test_quintic_exact_single_panel(self):
         cfg = QuadratureConfig(finite_subintervals=4)
-        got = integrate_newton_cotes(lambda x: x**5, 0.0, 1.0, cfg)
+        got = oracles.integrate_newton_cotes(lambda x: x**5, 0.0, 1.0, cfg)
         assert got == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_sine_closed_form(self):
-        got = integrate_newton_cotes(np.sin, 0.0, math.pi, CFG)
+        got = oracles.integrate_newton_cotes(np.sin, 0.0, math.pi, CFG)
         assert got == pytest.approx(2.0, abs=1e-10)
 
     def test_gaussian_against_refinement_oracle(self):
         # frozen from oracles.refine_integral(exp(-x^2), 0, 1) at ~1e6 subintervals
-        got = integrate_newton_cotes(lambda x: np.exp(-(x**2)), 0.0, 1.0, CFG)
+        got = oracles.integrate_newton_cotes(lambda x: np.exp(-(x**2)), 0.0, 1.0, CFG)
         assert got == pytest.approx(0.7468241328124270, abs=1e-12)
 
     def test_nonfinite_node_reported_with_abscissa(self):
@@ -83,19 +84,19 @@ class TestNewtonCotes:
                 return 1.0 / x
 
         with pytest.raises(QuadratureNodeError) as err:
-            integrate_newton_cotes(reciprocal, 0.0, 1.0, CFG)
+            oracles.integrate_newton_cotes(reciprocal, 0.0, 1.0, CFG)
         assert err.value.abscissa == 0.0
 
     def test_interval_order_checked(self):
         with pytest.raises(DomainError):
-            integrate_newton_cotes(lambda x: x, 1.0, 0.0, CFG)
+            oracles.integrate_newton_cotes(lambda x: x, 1.0, 0.0, CFG)
 
     def test_empirical_order_on_exponential(self):
         exact = math.e - 1.0
         errs = []
         for n in (8, 16, 32):
             cfg = QuadratureConfig(finite_subintervals=n)
-            errs.append(abs(integrate_newton_cotes(np.exp, 0.0, 1.0, cfg) - exact))
+            errs.append(abs(oracles.integrate_newton_cotes(np.exp, 0.0, 1.0, cfg) - exact))
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.5
         assert math.log2(errs[1] / errs[2]) >= 3.5

@@ -12,7 +12,6 @@ from putboundary import (
     TauGrid,
     boundary_rel_err,
     european_put,
-    integrate_newton_cotes,
     mispricing_err,
     price_gap_at_boundary,
     price_gap_full,
@@ -72,7 +71,7 @@ class TestGreenKernel:
     def test_normalisation(self, params, tau):
         width = 10.0 * params.sigma * math.sqrt(tau)
         cfg = QuadratureConfig(finite_subintervals=4000)
-        total = integrate_newton_cotes(
+        total = oracles.integrate_newton_cotes(
             lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, cfg
         )
         assert total == pytest.approx(1.0, abs=1e-10)
