@@ -47,25 +47,31 @@ def _log_eta_argument(tau, p: MarketParams, xp=math):
     return math.log(2.0 * p.r / p.sigma) + 0.5 * xp.log(2.0 * math.pi * tau) + p.r * tau
 
 
+def _eta(t, p: MarketParams, xp):
+    """The eta formula for a validated tau: xp is math for a float t, np for
+    an array t."""
+    log_arg = _log_eta_argument(t, p, xp)
+    if (log_arg >= 0.0) if xp is math else np.any(log_arg >= 0.0):
+        raise DomainError(
+            "log argument (2r/sigma) sqrt(2 pi tau) e^(r tau) >= 1; tau too large"
+        )
+    return -xp.sqrt(-log_arg)
+
+
 def eta_lowest_order(tau, p: MarketParams):
     """Lowest-order auxiliary function eta(tau) of the boundary representation
     rho = E exp(-(r - sigma^2/2) tau + sigma sqrt(2 tau) eta).
 
     Accepts scalars or arrays; defined while (2r/sigma) sqrt(2 pi tau) e^{r tau} < 1.
-    A scalar is evaluated with math and returned as a float, an array with
-    numpy; both run the one formula below.  A scalar tau must be positive.
+    A Python or numpy scalar is evaluated with math and returned as a float,
+    an array (0-d included) with numpy; both run the one formula of _eta.
+    A scalar tau must be positive.
     """
-    scalar = np.isscalar(tau)
-    xp = math if scalar else np
-    t = float(tau) if scalar else np.asarray(tau, dtype=float)
-    if scalar and not t > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    log_arg = _log_eta_argument(t, p, xp)
-    if (log_arg >= 0.0) if scalar else np.any(log_arg >= 0.0):
-        raise DomainError(
-            "log argument (2r/sigma) sqrt(2 pi tau) e^(r tau) >= 1; tau too large"
-        )
-    return -xp.sqrt(-log_arg)
+    if type(tau) is float or isinstance(tau, (int, np.generic)):
+        if not tau > 0:
+            raise DomainError(f"tau must be positive, got {tau}")
+        return _eta(float(tau), p, math)
+    return _eta(np.asarray(tau, dtype=float), p, np)
 
 
 def rho_kk(tau: float, p: MarketParams) -> float:
@@ -89,7 +95,7 @@ def rho_ekk(tau: float, p: MarketParams) -> float:
 def rho_ssc_analytic(tau: float, p: MarketParams) -> float:
     """Analytic boundary from the lowest-order solution of the integral equation."""
     _check_tau(tau)
-    eta = eta_lowest_order(tau, p)
+    eta = _eta(float(tau), p, math)
     return p.strike * math.exp(
         -(p.r - 0.5 * p.sigma**2) * tau + p.sigma * math.sqrt(2.0 * tau) * eta
     )

@@ -284,33 +284,37 @@ def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> Bou
     (V - payoff, relative to the strike) is within contact_tol and the first
     node beyond it; linear interpolation of the gap across that cell places
     the crossing.  A detached leftmost node means the grid does not reach
-    the exercise region (NoContactError).
+    the exercise region (NoContactError, at the first such level).  The gaps
+    of all levels are one array, built in place with the arithmetic of
+    price_level.
     """
     ct = contact_tol if contact_tol is not None else sol.config.contact_tol
     x = sol.x
     taus = sol.taus
-    payoff = sol.payoff_rel()
     E = sol.params.strike
-    rhos = np.empty(taus.size)
-    rhos[0] = E
-    for j in range(1, taus.size):
-        gap = sol.price_level(j) - payoff
-        detached = gap > ct
-        if not detached.any():
-            rhos[j] = E
-            continue
-        ifd = int(np.argmax(detached))
-        if ifd <= 1:
-            # only the pinned edge node is on the payoff: the exercise region
-            # lies outside the grid
-            raise NoContactError(
-                f"level {j}: contact region does not reach past the left edge; increase L"
-            )
-        ic = ifd - 1
-        g0, g1 = float(gap[ic]), float(gap[ifd])
-        frac = (ct - g0) / (g1 - g0)
-        xf = x[ic] + frac * (x[ifd] - x[ic])
-        rhos[j] = E * math.exp(xf)
+    gap = np.add.outer(-sol.beta * taus[1:], -sol.alpha * x)
+    np.exp(gap, out=gap)
+    gap *= sol.u[:, 1:].T
+    gap -= sol.payoff_rel()
+    detached = gap > ct
+    ifd = detached.argmax(axis=1)
+    detaches = detached.any(axis=1)
+    edge = detaches & (ifd <= 1)
+    if edge.any():
+        # only the pinned edge node is on the payoff: the exercise region
+        # lies outside the grid
+        raise NoContactError(
+            f"level {int(edge.argmax()) + 1}: contact region does not reach past the "
+            "left edge; increase L"
+        )
+    rows = np.flatnonzero(detaches)
+    ifd = ifd[rows]
+    ic = ifd - 1
+    g0, g1 = gap[rows, ic], gap[rows, ifd]
+    frac = (ct - g0) / (g1 - g0)
+    xf = x[ic] + frac * (x[ifd] - x[ic])
+    rhos = np.full(taus.size, E, dtype=float)
+    rhos[rows + 1] = [E * math.exp(v) for v in xf.tolist()]
     return BoundaryCurve(TauGrid(taus), rhos)
 
 

@@ -18,7 +18,9 @@ long horizons when gamma = 2r/sigma^2 > 1 (rho then falls below
 E e^{-(r - sigma^2/2) tau}).
 F and G only look backwards: their value at tau depends on eta on [0, tau]
 alone, so the unknowns eta(tau_1), ..., eta(tau_m) can be solved one node
-at a time, each by a scalar root find warm-started at the previous node.
+at a time, each by Newton steps on the analytic slope of
+H(eta) = eta^2 + ln A(eta) from the value extrapolated from the two nodes
+before it, with a bracketed root find as the fallback.
 The very first node comes from the closed small-tau formula; below tau_1 the
 path is evaluated by that same formula, between nodes by linear
 interpolation.
@@ -67,6 +69,9 @@ class LogDomainError(NumericalError):
 
 #: times the root bracket of solve_eta_at doubles, from half-width 0.05 to 12.8
 BRACKET_DOUBLINGS = 8
+
+#: Newton steps solve_eta_at takes before it falls back to the bracket
+_NEWTON_STEPS = 4
 
 
 class MeshKind(enum.Enum):
@@ -131,12 +136,13 @@ class EtaPath:
         self.etas.append(float(eta))
 
     def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Path at times s in [0, tau_next], where tau_next is the first
-        unsolved node, as base + slope * eta_next.
+        """Path at ascending times s in [0, tau_next], where tau_next is the
+        first unsolved node, as base + slope * eta_next.
 
         Only the last mesh segment (tau_k, tau_next] depends on the not yet
         committed value eta_next, and it does so linearly; the solved part
-        of the path gives slope 0.
+        of the path gives slope 0.  As s ascends, the head formula, the
+        interpolated part and the last segment are contiguous slices.
         """
         s = np.asarray(s, dtype=float)
         taus = self.grid.taus
@@ -145,14 +151,13 @@ class EtaPath:
             raise DomainError("sampling needs a solved first node and an unsolved next node")
         base = np.empty_like(s)
         slope = np.zeros_like(s)
-        head = s < taus[1]
-        base[head] = eta_lowest_order(np.maximum(s[head], 1e-300), self.params)
-        inner = ~head & (s <= taus[k])
-        base[inner] = np.interp(s[inner], taus[1 : k + 1], self.etas)
-        last = s > taus[k]
-        w = (s[last] - taus[k]) / (taus[k + 1] - taus[k])
-        base[last] = self.etas[-1] * (1.0 - w)
-        slope[last] = w
+        head = int(np.searchsorted(s, taus[1]))
+        last = int(np.searchsorted(s, taus[k], side="right"))
+        base[:head] = eta_lowest_order(np.maximum(s[:head], 1e-300), self.params)
+        base[head:last] = np.interp(s[head:last], taus[1 : k + 1], self.etas)
+        w = (s[last:] - taus[k]) / (taus[k + 1] - taus[k])
+        base[last:] = self.etas[-1] * (1.0 - w)
+        slope[last:] = w
         return base, slope
 
 
@@ -173,14 +178,17 @@ def _theta_nodes(n: int):
 
 
 def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig):
-    """The integral F at node tau_i as a function of the trial value eta_i,
-    for the path eta(tau_i sin^2 theta) = base + slope * eta_i sampled at
-    the quadrature nodes theta.
+    """The integral F at node tau_i and its slope dF/deta_i, as a function
+    of the trial value eta_i, for the path
+    eta(tau_i sin^2 theta) = base + slope * eta_i sampled at the quadrature
+    nodes theta.
 
     G = [eta_i - (base + slope eta_i) sin(th)]/cos(th) is affine in eta_i,
     G = eta_i P + Q, so P, Q, the damping exponent -r tau_i cos^2(th) and
     the factor sigma sqrt(tau_i/2) sin(th) are built once here, and each
     evaluation of the returned function is a handful of array operations.
+    The slope reuses the same exponentials:
+    dF/deta_i = 2 int e^{-r tau_i cos^2 - G^2} P [tan - 2G (drift + G tan)].
     """
     if not (tau_i > 0 and math.isfinite(tau_i)):
         raise DomainError(f"tau_i must be positive, got {tau_i}")
@@ -189,17 +197,24 @@ def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig)
     Q = -base * st / ct
     damping = -p.r * tau_i * ct * ct
     drift = (p.sigma * math.sqrt(tau_i) / math.sqrt(2.0)) * st
+    wP = w * P
 
-    def F(eta_i: float) -> float:
+    def F(eta_i: float) -> tuple[float, float]:
         G = eta_i * P + Q
-        total = 2.0 * float(np.dot(w, np.exp(damping - G * G) * (drift + G * tt)))
+        e = np.exp(damping - G * G)
+        inner = drift + G * tt
+        total = 2.0 * float(np.dot(w, e * inner))
         # the weights are positive, so any non-finite integrand value
         # leaves the sum non-finite
         if not math.isfinite(total):
             raise NumericalError(
                 f"non-finite integrand in the F integral at tau={tau_i:g}, eta={eta_i!r}"
             )
-        return total
+        inner *= G
+        inner *= -2.0
+        inner += tt
+        inner *= e
+        return total, 2.0 * float(np.dot(wP, inner))
 
     return F
 
@@ -212,6 +227,25 @@ def _log_argument(F: float, tau_i: float, p: MarketParams) -> float:
     )
 
 
+def _newton(h_and_slope, eta: float, tol: float) -> float | None:
+    """Newton's iterate on h from eta once |h| <= tol, or None when h is
+    -inf or not finite, a step does not shrink |h|, or _NEWTON_STEPS steps
+    do not reach tol."""
+    h, dh = h_and_slope(eta)
+    for _ in range(_NEWTON_STEPS):
+        if abs(h) <= tol:
+            return eta
+        step = h / dh if dh else math.nan
+        if not math.isfinite(step):
+            return None
+        eta -= step
+        size = abs(h)
+        h, dh = h_and_slope(eta)
+        if not abs(h) < size:
+            return None
+    return eta if abs(h) <= tol else None
+
+
 def solve_eta_at(
     path: EtaPath,
     tau_i: float,
@@ -222,10 +256,15 @@ def solve_eta_at(
 
     The first positive node bypasses root finding and takes the closed
     small-tau value.  Later nodes sample the path and build the F integrand
-    once, then solve H(eta) = eta^2 + ln A(eta) = 0 with the bracketed root
-    finder, on a bracket of half-width 0.05 around the previous node's value
-    that doubles, up to BRACKET_DOUBLINGS times, until it encloses a sign
-    change.
+    once, then solve H(eta) = eta^2 + ln A(eta) = 0 by Newton steps on the
+    analytic slope H' = 2 eta - F'/(sqrt(pi) - F), from the linear
+    extrapolation 2 eta_{i-1} - eta_{i-2} of the two nodes before (the
+    previous value at node 2), and accept a point with |H| <= root_tol/2,
+    the stop of the bracketed root finder.  If ln A is -inf, a step does
+    not shrink |H| or _NEWTON_STEPS steps do not converge, the bracketed
+    root finder takes over, on a bracket of half-width 0.05 around the
+    previous node's value that doubles, up to BRACKET_DOUBLINGS times,
+    until it encloses a sign change.
     """
     cfg = cfg or QuadratureConfig()
     i = path.solved + 1
@@ -242,15 +281,29 @@ def solve_eta_at(
     st = _theta_nodes(cfg.finite_subintervals)[0]
     F = _f_of_eta(tau_i, *path.sample(tau_i * st * st), p, cfg)
 
-    @functools.cache
-    def H(eta: float) -> float:
-        """eta^2 + ln A(eta), extended by -inf where A <= 0, which is its
-        limit as A falls to 0; a root is a solution e^{-eta^2} = A of
-        either sign."""
-        A = _log_argument(F(eta), tau_i, p)
-        return eta * eta + math.log(A) if A > 0.0 else -math.inf
+    sqrt_pi = math.sqrt(math.pi)
 
-    prev = path.etas[-1]
+    @functools.cache
+    def h_and_slope(eta: float) -> tuple[float, float]:
+        """H(eta) = eta^2 + ln A(eta), extended by -inf where A <= 0, which
+        is its limit as A falls to 0, and H'(eta); a root is a solution
+        e^{-eta^2} = A of either sign."""
+        f, df = F(eta)
+        A = _log_argument(f, tau_i, p)
+        if not A > 0.0:
+            return -math.inf, math.nan
+        return eta * eta + math.log(A), 2.0 * eta - df / (sqrt_pi - f)
+
+    etas = path.etas
+    prev = etas[-1]
+    start = 2.0 * prev - etas[-2] if len(etas) > 1 else prev
+    eta = _newton(h_and_slope, start, 0.5 * cfg.root_tol)
+    if eta is not None:
+        return eta
+
+    def H(eta: float) -> float:
+        return h_and_slope(eta)[0]
+
     for doublings in range(BRACKET_DOUBLINGS + 1):
         half = 0.05 * 2.0**doublings
         lo, hi = prev - half, prev + half

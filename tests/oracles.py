@@ -351,3 +351,91 @@ def psor_brennan_schwartz_levels(p, cfg) -> np.ndarray:
             left = r[i] = v if v > g[i] else g[i]
         U[:, j] = r
     return U
+
+
+def ssch_bracket_eta_at(path, p, cfg) -> float:
+    """eta at the next unsolved node of an ssch path by the bracketed root
+    finder alone: H(eta) = eta^2 + ln A(eta), -inf where A <= 0, on a
+    bracket of half-width 0.05 around the previous node's value that
+    doubles up to ssch.BRACKET_DOUBLINGS times until it encloses a sign
+    change, then Brent's method.  The reference for the Newton steps of
+    ssch.solve_eta_at."""
+    import functools
+
+    from putboundary import ssch
+    from putboundary.core import BracketError, find_root_bracketed
+
+    i = path.solved + 1
+    tau_i = float(path.grid.taus[i])
+    if i == 1:
+        return float(ssch.eta_lowest_order(tau_i, p))
+    st = ssch._theta_nodes(cfg.finite_subintervals)[0]
+    F = ssch._f_of_eta(tau_i, *path.sample(tau_i * st * st), p, cfg)
+
+    @functools.cache
+    def H(eta):
+        A = ssch._log_argument(F(eta)[0], tau_i, p)
+        return eta * eta + math.log(A) if A > 0.0 else -math.inf
+
+    prev = path.etas[-1]
+    for doublings in range(ssch.BRACKET_DOUBLINGS + 1):
+        lo, hi = prev - 0.05 * 2.0**doublings, prev + 0.05 * 2.0**doublings
+        if min(H(lo), H(hi)) <= 0.0 <= max(H(lo), H(hi)):
+            break
+    else:
+        raise BracketError(f"node {i}: no sign change on [{lo:.6g}, {hi:.6g}]")
+    eta = find_root_bracketed(H, lo, hi, cfg)
+    if not abs(H(eta)) <= cfg.root_tol:
+        raise ssch.LogDomainError(f"node {i}: converged point invalid, residual {H(eta)!r}")
+    return eta
+
+
+def ssch_bracket_boundary(p, T: float, m: int, cfg=None) -> np.ndarray:
+    """rho at every node of ssch's quadratic mesh on [0, T], each node
+    solved by ssch_bracket_eta_at."""
+    from putboundary import ssch
+    from putboundary.core import QuadratureConfig
+
+    cfg = cfg or QuadratureConfig()
+    grid = ssch.build_mesh(T, m, ssch.MeshKind.QUADRATIC, p)
+    path = ssch.EtaPath(grid, p)
+    for _ in range(m):
+        path.append(ssch_bracket_eta_at(path, p, cfg))
+    taus = grid.taus[1:]
+    rhos = p.strike * np.exp(
+        -(p.r - 0.5 * p.sigma**2) * taus + p.sigma * np.sqrt(2.0 * taus) * np.asarray(path.etas)
+    )
+    return np.concatenate(([p.strike], rhos))
+
+
+def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
+    """rho at every time level of a psor solution, one level at a time:
+    the gap price_level(j) - payoff, the first node detached by more than
+    contact_tol and linear interpolation of the gap across the cell before
+    it.  The reference for the one-pass psor.extract_boundary; raises its
+    NoContactError, with its message, at the first level whose contact
+    region stops at the pinned edge node."""
+    from putboundary.psor import NoContactError
+
+    ct = contact_tol if contact_tol is not None else sol.config.contact_tol
+    x = sol.x
+    payoff = sol.payoff_rel()
+    E = sol.params.strike
+    rhos = np.empty(sol.taus.size)
+    rhos[0] = E
+    for j in range(1, sol.taus.size):
+        gap = sol.price_level(j) - payoff
+        detached = gap > ct
+        if not detached.any():
+            rhos[j] = E
+            continue
+        ifd = int(np.argmax(detached))
+        if ifd <= 1:
+            raise NoContactError(
+                f"level {j}: contact region does not reach past the left edge; increase L"
+            )
+        ic = ifd - 1
+        g0, g1 = float(gap[ic]), float(gap[ifd])
+        xf = x[ic] + (ct - g0) / (g1 - g0) * (x[ifd] - x[ic])
+        rhos[j] = E * math.exp(xf)
+    return rhos

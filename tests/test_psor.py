@@ -269,3 +269,34 @@ class TestAgainstLoopOracle:
             ref = oracles.psor_brennan_schwartz_levels(p, cfg)
             # measured: <= 9.3e-14, at lam = 180
             assert np.abs(psor_solve(p, cfg).u - ref).max() <= 1e-13 * np.abs(ref).max(), gamma
+
+
+class TestOnePassExtraction:
+    """extract_boundary reads all levels in one array pass, against the
+    per-level loop (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("n, m, T, L", ORACLE_GRIDS)
+    def test_matches_level_loop_bit_for_bit(self, n, m, T, L):
+        cfg = PsorConfig(n=n, m=m, T=T, L=L)
+        for gamma in (0.6, 1.0, 3.0, 6.0):
+            p = MarketParams(r=0.5 * gamma * 0.3**2, sigma=0.3, strike=100.0)
+            sol = psor_solve(p, cfg)
+            for ct in (None, 1e-6):
+                try:
+                    want = oracles.psor_extract_levels(sol, ct)
+                except NoContactError as exc:
+                    with pytest.raises(NoContactError) as info:
+                        extract_boundary(sol, ct)
+                    assert str(info.value) == str(exc)
+                    continue
+                assert np.array_equal(extract_boundary(sol, ct).rhos, want), (gamma, ct)
+
+    @pytest.mark.parametrize("L, level", [(0.05, 1), (0.1, 3)])
+    def test_narrow_domain_fails_at_the_same_level(self, params, L, level):
+        sol = psor_solve(params, PsorConfig(n=40, m=40, T=1.0, L=L))
+        with pytest.raises(NoContactError) as want:
+            oracles.psor_extract_levels(sol)
+        with pytest.raises(NoContactError) as got:
+            extract_boundary(sol)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"level {level}: ")

@@ -22,7 +22,9 @@ from putboundary import (
     solve_eta_at,
 )
 from putboundary import ssch
-from putboundary.ssch import _f_of_eta, _log_argument, _theta_nodes
+from putboundary.ssch import _f_of_eta, _log_argument, _newton, _theta_nodes
+
+import oracles
 
 # long-horizon reference column for the iterative solver
 SSCH_TABLE = {
@@ -35,6 +37,13 @@ SSCH_TABLE = {
 }
 
 SMOKE = QuadratureConfig(finite_subintervals=252)  # reduced-fidelity profile
+
+# the standard market, gamma = 0.22 and gamma = 9.6, solved over five years
+NEWTON_MARKETS = [
+    MarketParams(r=0.1, sigma=0.3, strike=100.0),
+    MarketParams(r=0.01, sigma=0.3, strike=100.0),
+    MarketParams(r=0.3, sigma=0.25, strike=100.0),
+]
 
 
 def increment(path, eta_i, tau_i, theta):
@@ -51,7 +60,7 @@ def f_on_path(path, eta_i, tau_i, p, cfg=None):
     cfg = cfg or QuadratureConfig()
     st = _theta_nodes(cfg.finite_subintervals)[0]
     base, slope = path.sample(tau_i * st * st)
-    return _f_of_eta(tau_i, base, slope, p, cfg)(eta_i)
+    return _f_of_eta(tau_i, base, slope, p, cfg)(eta_i)[0]
 
 
 class TestMesh:
@@ -120,14 +129,14 @@ class TestPathAndMappings:
     def test_f_flat_zero_path_closed_form(self):
         """G == 0 collapses F to 2 int (sigma sqrt(tau)/sqrt(2)) sin = sigma sqrt(2 tau)."""
         p = MarketParams(r=1e-12, sigma=0.3, strike=100.0)
-        got = _f_of_eta(0.04, 0.0, 0.0, p, QuadratureConfig())(0.0)
+        got = _f_of_eta(0.04, 0.0, 0.0, p, QuadratureConfig())(0.0)[0]
         assert got == pytest.approx(p.sigma * math.sqrt(2 * 0.04), abs=1e-10)
 
     def test_f_tau_dependence_collapses_like_sqrt_tau(self, params):
         # with a frozen path shape only the sigma sqrt(tau) sin-term and the
         # e^{-r tau cos^2} damping depend on tau, both O(sqrt(tau)) and O(tau)
-        f_a = _f_of_eta(1e-6, -1.0, 0.0, params, QuadratureConfig())(-1.0)
-        f_b = _f_of_eta(1e-10, -1.0, 0.0, params, QuadratureConfig())(-1.0)
+        f_a = _f_of_eta(1e-6, -1.0, 0.0, params, QuadratureConfig())(-1.0)[0]
+        f_b = _f_of_eta(1e-10, -1.0, 0.0, params, QuadratureConfig())(-1.0)[0]
         bound = params.sigma * math.sqrt(2.0) * (math.sqrt(1e-6) + math.sqrt(1e-10))
         assert abs(f_a - f_b) < bound
 
@@ -177,8 +186,11 @@ class TestNodeSolve:
 
     @staticmethod
     def _flat_log_argument(monkeypatch, A):
-        """H(eta) = eta^2 + ln A, whatever F is."""
+        """H(eta) = eta^2 + ln A, whatever F is.  H' then no longer follows
+        from F', so the Newton steps are switched off and the bracket path
+        solves."""
         monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: A)
+        monkeypatch.setattr(ssch, "_NEWTON_STEPS", 0)
 
     def test_root_in_last_widened_bracket(self, params, monkeypatch):
         """With H(eta) = eta^2 - 100 and the previous eta at -20, the first
@@ -210,6 +222,15 @@ class TestNodeSolve:
         path[17] = math.nan
         with pytest.raises(NumericalError, match=r"non-finite integrand .* tau=0\.5"):
             _f_of_eta(0.5, path, 0.0, params, QuadratureConfig())(-0.5)
+
+    def test_log_argument_never_positive_falls_back_past_node_two(self, params, monkeypatch):
+        """ln A = -inf at the extrapolated start sends a later node to the
+        bracket path too, with the bracket path's error."""
+        monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: -1.0)
+        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
+        path = EtaPath(grid, params, [-1.2, -1.1, -1.0])
+        with pytest.raises(LogDomainError, match=r"node 4 \(tau=0\.016\): no sign change"):
+            solve_eta_at(path, float(grid.taus[4]), params)
 
     def test_wrong_node_rejected(self, params):
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
@@ -295,3 +316,86 @@ class TestBoundarySolve:
             fd = extract_boundary(psor_solve(p, PsorConfig(n=200, m=200, T=5.0, L=1.0)))
             for tau in curve.grid.taus[curve.grid.taus >= 0.4]:
                 assert abs(float(curve.value(tau)) - float(fd.value(tau))) <= 5e-3 * p.strike
+
+
+class TestNewtonSteps:
+    """The node solve by Newton steps on H's analytic slope, against the
+    bracketed root finder it replaced (tests/oracles.py)."""
+
+    def test_newton_gives_up_where_it_should(self):
+        assert _newton(lambda x: (x * x - 2.0, 2.0 * x), 1.5, 1e-12) == pytest.approx(
+            math.sqrt(2.0), abs=1e-12
+        )
+        # |h| grows: Newton on atan overshoots from 2
+        assert _newton(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), 2.0, 1e-12) is None
+        # |h| shrinks too slowly: a ninefold root loses 1/9 of the error a step
+        assert _newton(lambda x: ((x - 1.0) ** 9, 9.0 * (x - 1.0) ** 8), 2.0, 1e-12) is None
+        assert _newton(lambda x: (-math.inf, math.nan), 0.0, 1e-12) is None
+
+    @staticmethod
+    def _slopes(monkeypatch, p, T, m):
+        """Solve the boundary and keep each node's H-and-slope function."""
+        seen = []
+
+        def spy(h_and_slope, eta, tol):
+            seen.append(h_and_slope)
+            return _newton(h_and_slope, eta, tol)
+
+        monkeypatch.setattr(ssch, "_newton", spy)
+        curve = solve_boundary(p, T, m)
+        return curve, seen
+
+    @pytest.mark.parametrize("p", NEWTON_MARKETS, ids=["standard", "gamma0.22", "gamma9.6"])
+    def test_slope_matches_central_difference(self, p, monkeypatch):
+        """H' = 2 eta - F'/(sqrt(pi) - F) against (H(eta + d) - H(eta - d))/(2d)
+        at the solved eta and beside it (measured: <= 1.9e-8 relative)."""
+        curve, seen = self._slopes(monkeypatch, p, 5.0, 60)
+        taus = curve.grid.taus
+        for i in (2, 5, 20, 40, 60):
+            h_and_slope = seen[i - 2]  # node 1 is the closed form
+            eta_i = (math.log(curve.rhos[i] / p.strike) + (p.r - 0.5 * p.sigma**2) * taus[i]) / (
+                p.sigma * math.sqrt(2.0 * taus[i])
+            )
+            # beside the root, where H has moved by about 0.01
+            off = 0.01 / max(1.0, abs(h_and_slope(eta_i)[1]))
+            for eta in (eta_i, eta_i - off, eta_i + off):
+                slope = h_and_slope(eta)[1]
+                # ln A's derivatives grow like powers of |H'| as A nears 0
+                d = 1e-5 / max(1.0, abs(slope))
+                numeric = (h_and_slope(eta + d)[0] - h_and_slope(eta - d)[0]) / (2.0 * d)
+                assert slope == pytest.approx(numeric, rel=1e-6), (i, eta)
+
+    @pytest.mark.parametrize("p", NEWTON_MARKETS, ids=["standard", "gamma0.22", "gamma9.6"])
+    def test_matches_bracket_solve(self, p):
+        """rho at every node within 1e-11 E of the node solve by the
+        bracketed root finder alone (measured: <= 9.6e-12 E, at gamma = 9.6)."""
+        got = solve_boundary(p, 5.0, 200).rhos
+        want = oracles.ssch_bracket_boundary(p, 5.0, 200)
+        assert np.abs(got - want).max() <= 1e-11 * p.strike
+
+    @pytest.mark.parametrize("p", NEWTON_MARKETS, ids=["standard", "gamma0.22", "gamma9.6"])
+    def test_f_evaluation_budget(self, p, monkeypatch):
+        """At most 3.6 evaluations of F per solved node on average at
+        T = 5, m = 200 (measured: 3.06, 3.03 and 3.52; the bracketed root
+        finder alone took 8.25, 7.35 and 10.5)."""
+        calls = [0]
+
+        def counted(*args):
+            F = _f_of_eta(*args)
+
+            def F_counted(eta_i):
+                calls[0] += 1
+                return F(eta_i)
+
+            return F_counted
+
+        monkeypatch.setattr(ssch, "_f_of_eta", counted)
+        solve_boundary(p, 5.0, 200)
+        assert calls[0] / 199 <= 3.6  # node 1 is the closed form
+
+    def test_high_gamma_failure_is_typed_and_named(self):
+        """gamma = 12 over five years still stops, with a typed error that
+        names the node and tau."""
+        p = MarketParams(r=0.54, sigma=0.3, strike=100.0)
+        with pytest.raises(NumericalError, match=r"node \d+ \(tau=[0-9.]+\)"):
+            solve_boundary(p, 5.0, 200)
