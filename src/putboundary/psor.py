@@ -4,18 +4,22 @@ The change of variables x = ln(S/E), tau = T - t,
 u(x, tau) = e^{alpha x + beta tau} V(E e^x, T - tau)/E with
 alpha = r/sigma^2 - 1/2 and beta = r/2 + sigma^2/8 + r^2/(2 sigma^2) turns
 the pricing inequality into an obstacle problem for the heat equation
-u_tau = (sigma^2/2) u_xx, u >= transformed payoff.  Each Crank-Nicolson
-step is a tridiagonal linear complementarity problem whose contact set is
-one interval at the left edge, so it is solved exactly by the
-Brennan-Schwartz step: one elimination from right to left, then one
-substitution from left to right that clips each value to the payoff
-(Brennan and Schwartz 1977; Jaillet, Lamberton and Lapeyre 1990).  This is
-the point projected SOR converges to, without its sweeps.  Both passes are
-first-order linear recurrences with coefficients fixed for the whole
-solve, so each runs as a cumulative-sum prefix scan (Blelloch 1990), and
-the contact interval is found in one vectorised comparison.  The early
-exercise boundary is read off each time level as the point where the price
-detaches from the payoff by more than a contact tolerance.
+u_tau = (sigma^2/2) u_xx, u >= e^{beta tau} g with g = e^{alpha x}(1 - e^x)^+.
+The obstacle problem is positively homogeneous, so the solve marches the
+scaled levels w = e^{-beta tau} u = e^{alpha x} V/E instead: each
+Crank-Nicolson step applies e^{-beta k} to the right-hand side and keeps
+the one fixed obstacle g, and no level grows with tau.  Each step is a
+tridiagonal linear complementarity problem whose contact set is one
+interval at the left edge, so it is solved exactly by the Brennan-Schwartz
+step: one elimination from right to left, then one substitution from left
+to right that clips each value to the obstacle (Brennan and Schwartz 1977;
+Jaillet, Lamberton and Lapeyre 1990).  This is the point projected SOR
+converges to, without its sweeps.  Both passes are first-order linear
+recurrences with coefficients fixed for the whole solve, so each runs as a
+cumulative-sum prefix scan (Blelloch 1990), and the contact interval is
+found in one vectorised comparison.  The early exercise boundary is read
+off each time level as the point where the price detaches from the payoff
+by more than a contact tolerance.
 """
 
 from __future__ import annotations
@@ -89,19 +93,18 @@ class PsorConfig:
 
 @dataclass(frozen=True)
 class PsorSolution:
-    """Transformed-grid solution u(x_i, tau_j) plus untransform metadata.
+    """Scaled-grid solution u(x_i, tau_j) = e^{alpha x_i} V(E e^{x_i}, T - tau_j)/E.
 
-    The price is recovered as V(S, t) = E e^{-alpha x - beta tau} u with
-    x = ln(S/E), tau = T - t; by construction u never falls below the
-    transformed payoff, so V >= (E - S)^+ at every node.  The x and tau
-    grids are built on first use and kept, read-only.
+    The price is recovered as V(S, t) = E e^{-alpha x} u with x = ln(S/E),
+    tau = T - t; by construction u never falls below the obstacle
+    e^{alpha x}(1 - e^x)^+, so V >= (E - S)^+ at every node.  The x and
+    tau grids are built on first use and kept, read-only.
     """
 
     u: np.ndarray
     config: PsorConfig
     params: MarketParams
     alpha: float
-    beta: float
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -120,11 +123,6 @@ class PsorSolution:
     def payoff_rel(self) -> np.ndarray:
         """(1 - e^x)^+ on the spatial grid (payoff / strike)."""
         return np.maximum(1.0 - np.exp(self.x), 0.0)
-
-    def price_level(self, j: int) -> np.ndarray:
-        """V/E on the whole grid at time level j."""
-        tau = self.taus[j]
-        return self.u[:, j] * np.exp(-self.alpha * self.x - self.beta * tau)
 
 
 def transform_constants(p: MarketParams) -> tuple[float, float]:
@@ -191,54 +189,48 @@ class _LinearScan:
         return y
 
 
-def _non_finite_level(j: int, tau: float, beta: float, p: MarketParams, cfg: PsorConfig):
-    return NumericalError(
-        f"level {j} (tau={tau:g}): transformed solution not finite, e^(beta tau) = "
-        f"e^{beta * tau:.6g}, for r={p.r:g}, sigma={p.sigma:g} on the grid "
-        f"n={cfg.n}, m={cfg.m}, T={cfg.T:g}, L={cfg.L:g}"
-    )
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite level raises below
 def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     """March the obstacle problem over all time levels.
 
-    Crank-Nicolson weighting on the heat operator; each level's LCP is
-    solved by the Brennan-Schwartz step.  The elimination diagonal
-    d'_i = d - c^2/d'_{i+1} (d = 1 + lam, c = lam/2) is the same at every
-    level and is computed once.  Both passes are first-order linear
-    recurrences with these fixed coefficients, so each level runs them as
-    two prefix scans (_LinearScan):
+    Crank-Nicolson weighting on the heat operator for the scaled levels
+    w_j = e^{-beta tau_j} u_j: each level solves the LCP with right-hand
+    side e^{-beta k} times the explicit half-step of w_{j-1} and the one
+    fixed obstacle g = e^{alpha x}(1 - e^x)^+, by the Brennan-Schwartz
+    step.  The elimination diagonal d'_i = d - c^2/d'_{i+1}
+    (d = 1 + lam, c = lam/2) is the same at every level and is computed
+    once.  Both passes are first-order linear recurrences with these fixed
+    coefficients, so each level runs them as two prefix scans
+    (_LinearScan):
 
     - elimination, right to left: r'_i = r_i + (c/d'_{i+1}) r'_{i+1};
-    - contact prefix: while u_{i-1} sits on the payoff g_{i-1}, the
+    - contact prefix: while w_{i-1} sits on the obstacle g_{i-1}, the
       substitution's value is v_i = (r'_i + c g_{i-1})/d'_i at every node
-      at once, and the first v_i > g_i is the first node off the payoff;
+      at once, and the first v_i > g_i is the first node off the obstacle;
     - free suffix, left to right from there:
-      u_i = r'_i/d'_i + (c/d'_i) u_{i-1}, clipped to the payoff.
+      w_i = r'_i/d'_i + (c/d'_i) w_{i-1}, clipped to the obstacle.
 
-    The left boundary is pinned to the transformed payoff (the
-    deep-exercise value, where V(0, t) = E in the untruncated problem),
-    the right boundary to 0.  A level that is not finite (the transform's
-    growth e^(beta tau) beyond float range) raises NumericalError naming
-    the level and the grid.
+    The left boundary is pinned to the obstacle (the deep-exercise value,
+    where V(0, t) = E in the untruncated problem), the right boundary to 0.
     """
     alpha, beta = transform_constants(p)
     n, m = cfg.n, cfg.m
     h, k = cfg.h, cfg.k
     lam = p.sigma**2 * k / (2.0 * h * h)
     c = 0.5 * lam
+    decay = math.exp(-beta * k)
+    c_rhs, mid_rhs = c * decay, (1.0 - lam) * decay
     x = np.linspace(-cfg.L, cfg.L, 2 * n + 1)
-    payoff = np.maximum(1.0 - np.exp(x), 0.0)
-    obstacle = np.exp(alpha * x) * payoff
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        g = np.exp(alpha * x) * np.maximum(1.0 - np.exp(x), 0.0)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("transformed payoff not finite on the grid; reduce L")
 
     # one contiguous row per level; the solution is its transpose
     U = np.empty((m + 1, 2 * n + 1))
-    U[0] = obstacle
-    if not np.all(np.isfinite(obstacle)):
-        raise DomainError("transformed payoff not finite on the grid; reduce L")
+    U[:, 0], U[:, -1] = g[0], 0.0
+    U[0] = g
 
-    last = 2 * n - 1  # last interior node; u = 0 beyond it
+    last = 2 * n - 1  # last interior node; w = 0 beyond it
     dp = [1.0 + lam]
     for _ in range(last - 1):
         dp.append(1.0 + lam - c * c / dp[-1])
@@ -248,32 +240,25 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     # first coefficient is never used
     eliminate = _LinearScan(np.concatenate(([0.0], ratio[:0:-1])))
     substitute = _LinearScan(ratio)
+    gi = g[1:-1]
+    cg = c * g[:-2]
 
     for j in range(1, m + 1):
-        tau = j * k
-        try:
-            g = obstacle * math.exp(beta * tau)
-        except OverflowError:
-            raise _non_finite_level(j, tau, beta, p, cfg) from None
         prev = U[j - 1]
-        rhs = c * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
+        rhs = c_rhs * (prev[:-2] + prev[2:]) + mid_rhs * prev[1:-1]
         r = eliminate(rhs[::-1])[::-1]  # r'_1 .. r'_last
-        gi = g[1:-1]
-        v = (r + c * g[:-2]) / dp
+        v = (r + cg) / dp
         off = v > gi
-        u = U[j]
-        u[0], u[-1] = g[0], 0.0
+        w = U[j, 1:-1]
         if off.any():
             i0 = int(off.argmax())
-            u[1 : i0 + 1] = gi[:i0]
+            w[:i0] = gi[:i0]
             r /= dp
             r[i0] = v[i0]
-            np.maximum(substitute(r, i0), gi[i0:], out=u[i0 + 1 : -1])
+            np.maximum(substitute(r, i0), gi[i0:], out=w[i0:])
         else:
-            u[1:-1] = gi
-        if not math.isfinite(u.max()):
-            raise _non_finite_level(j, tau, beta, p, cfg)
-    return PsorSolution(U.T, cfg, p, alpha, beta)
+            w[:] = gi
+    return PsorSolution(U.T, cfg, p, alpha)
 
 
 def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> BoundaryCurve:
@@ -285,16 +270,13 @@ def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> Bou
     node beyond it; linear interpolation of the gap across that cell places
     the crossing.  A detached leftmost node means the grid does not reach
     the exercise region (NoContactError, at the first such level).  The gaps
-    of all levels are one array, built in place with the arithmetic of
-    price_level.
+    of all levels are one array, u e^{-alpha x} - payoff, built in place.
     """
     ct = contact_tol if contact_tol is not None else sol.config.contact_tol
     x = sol.x
     taus = sol.taus
     E = sol.params.strike
-    gap = np.add.outer(-sol.beta * taus[1:], -sol.alpha * x)
-    np.exp(gap, out=gap)
-    gap *= sol.u[:, 1:].T
+    gap = sol.u[:, 1:].T * np.exp(-sol.alpha * x)
     gap -= sol.payoff_rel()
     detached = gap > ct
     ifd = detached.argmax(axis=1)
@@ -344,7 +326,7 @@ def price_at(sol: PsorSolution, S: float, t: float) -> float:
         + (1 - wx) * wt * sol.u[i, j + 1]
         + wx * wt * sol.u[i + 1, j + 1]
     )
-    value = p.strike * math.exp(-sol.alpha * xq - sol.beta * tau) * u
+    value = p.strike * math.exp(-sol.alpha * xq) * u
     # bilinear interpolation can dip below the obstacle between nodes; the
     # true price never does
     return max(value, p.strike - S, 0.0)

@@ -277,7 +277,8 @@ def zhu_second_derivative_newton_cotes(tau: float, p, cfg=None) -> float:
 
 
 def psor_sor_levels(p, cfg, tol: float, max_sweeps: int = 100_000) -> np.ndarray:
-    """The Crank-Nicolson march of psor.psor_solve with each level's LCP
+    """The Crank-Nicolson march of psor.psor_solve on the unscaled levels
+    u_j = e^{beta tau_j} w_j, obstacle e^{beta tau_j} g, with each level's LCP
     solved by projected SOR: Gauss-Seidel sweeps relaxed by cfg.omega, each
     update clipped to the payoff, warm-started from the previous level and
     stopped once no component moves by more than tol.  The reference for
@@ -318,17 +319,21 @@ def psor_sor_levels(p, cfg, tol: float, max_sweeps: int = 100_000) -> np.ndarray
 
 
 def psor_brennan_schwartz_levels(p, cfg) -> np.ndarray:
-    """The Crank-Nicolson march of psor.psor_solve with each level's
-    Brennan-Schwartz step as two plain Python loops: elimination from right
-    to left, r'_i = r_i + (c/d'_{i+1}) r'_{i+1}, then the substitution from
-    left to right, u_i = max((r'_i + c u_{i-1})/d'_i, g_i).  The reference
-    for the prefix scans in the package; returns the u grid."""
+    """The Crank-Nicolson march of psor.psor_solve over the scaled levels
+    w_j = e^{-beta tau_j} u_j, right-hand side times e^{-beta k} and one
+    fixed obstacle g, with each level's Brennan-Schwartz step as two plain
+    Python loops: elimination from right to left,
+    r'_i = r_i + (c/d'_{i+1}) r'_{i+1}, then the substitution from left to
+    right, w_i = max((r'_i + c w_{i-1})/d'_i, g_i).  The reference for the
+    prefix scans in the package; returns the w grid."""
     alpha = p.r / p.sigma**2 - 0.5
     beta = 0.5 * p.r + p.sigma**2 / 8.0 + p.r**2 / (2.0 * p.sigma**2)
     lam = p.sigma**2 * cfg.k / (2.0 * cfg.h * cfg.h)
     c = 0.5 * lam
+    decay = math.exp(-beta * cfg.k)
     x = np.linspace(-cfg.L, cfg.L, 2 * cfg.n + 1)
     obstacle = np.exp(alpha * x) * np.maximum(1.0 - np.exp(x), 0.0)
+    g = obstacle.tolist()
     last = 2 * cfg.n - 1
     dp = [0.0] * (2 * cfg.n + 1)
     dp[last] = 1.0 + lam
@@ -338,10 +343,9 @@ def psor_brennan_schwartz_levels(p, cfg) -> np.ndarray:
     U = np.empty((x.size, cfg.m + 1))
     U[:, 0] = obstacle
     for j in range(1, cfg.m + 1):
-        g = (obstacle * math.exp(beta * (j * cfg.k))).tolist()
         prev = U[:, j - 1]
         rhs = np.zeros_like(prev)
-        rhs[1:-1] = c * (prev[:-2] + prev[2:]) + (1.0 - lam) * prev[1:-1]
+        rhs[1:-1] = c * decay * (prev[:-2] + prev[2:]) + (1.0 - lam) * decay * prev[1:-1]
         r = rhs.tolist()
         for i in range(last - 1, 0, -1):
             r[i] += ratio[i] * r[i + 1]
@@ -410,7 +414,7 @@ def ssch_bracket_boundary(p, T: float, m: int, cfg=None) -> np.ndarray:
 
 def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
     """rho at every time level of a psor solution, one level at a time:
-    the gap price_level(j) - payoff, the first node detached by more than
+    the gap u[:, j] e^{-alpha x} - payoff, the first node detached by more than
     contact_tol and linear interpolation of the gap across the cell before
     it.  The reference for the one-pass psor.extract_boundary; raises its
     NoContactError, with its message, at the first level whose contact
@@ -424,7 +428,7 @@ def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
     rhos = np.empty(sol.taus.size)
     rhos[0] = E
     for j in range(1, sol.taus.size):
-        gap = sol.price_level(j) - payoff
+        gap = sol.u[:, j] * np.exp(-sol.alpha * x) - payoff
         detached = gap > ct
         if not detached.any():
             rhos[j] = E

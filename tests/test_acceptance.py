@@ -9,12 +9,16 @@ reference numbers that converged solvers cannot reproduce:
 * check 4 (finite-difference boundary column) and check 8 (relative-error
   columns derived from it): the mid-range rows are matched by a documented
   extraction recipe, but the tau = 0.02 row and the tau >= 3 tail deviate
-  beyond the stated band no matter how the solver is configured.  Three
-  mutually independent routes here (the exact finite-difference step, the
-  integral equation solver, and a lattice oracle) agree with each other at those
-  points and not with the reference column, so the deviation is carried by
-  the reference values themselves.  The checks assert the stated band and
-  fail honestly rather than loosening it.
+  beyond the stated band.  At tau = 0.02 the reference reads 92.8672; the
+  integral equation solver gives 92.3421 (m = 200) and 92.3418 (m = 800),
+  and the exact finite-difference step on a grid fitted to that horizon
+  (`putboundary boundary --method psor --T 0.02 --L 0.3 --n 1000
+  --m 1000`) gives 92.3571, while check 4's five-year grid reads 93.1811.
+  At tau = 3, 4 and 5 both solvers read below the reference 72.5786 /
+  72.0121 / 71.7966: psor 72.3311 / 71.5003 / 70.9677 (check 4's grid) and
+  ssch 71.8588 / 71.0311 / 70.4929 (`putboundary boundary --method ssch
+  --T 5 --m 200`).  The checks assert the stated band and fail honestly
+  rather than loosening it.
 * check 9: the boundary-error sweep peak is reproduced, but the two
   mispricing-ratio targets (0.15 at tau = 4e-3, >0.70 below 5e-4) are not
   reachable from the exact gap/premium formulas these modules implement;
@@ -152,9 +156,8 @@ def test_criterion_03_iterative_solver_column(params, ssch_table2_curve):
 def test_criterion_04_benchmark_column(params, psor_table2_solution):
     """Finite-difference column at n=m=1000, T=5 against the reference +-0.1.
 
-    Known FAIL: rows 0.02 and 3..5 sit outside the band for any solver
-    configuration; converged independent methods agree with each other there
-    and not with the reference column (see module docstring).
+    Known FAIL: rows 0.02 and 3..5 sit outside the band (see module
+    docstring for what the solvers read there).
     """
     curve = extract_boundary(psor_table2_solution, contact_tol=RECIPE_CONTACT_TOL)
     bad = []

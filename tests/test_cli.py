@@ -56,9 +56,9 @@ class TestBoundaryCommand:
         assert code == EXIT_DOMAIN
         assert "log" in err  # names the violated logarithm condition
 
-    def test_psor_overflow_exit_code(self, capsys):
-        """The transform's growth e^(beta tau) overflows at level 36: a
-        numerical failure with its exit code, not a traceback."""
+    def test_psor_extreme_market_exit_code(self, capsys):
+        """gamma = 800 on a narrow grid: a numerical failure with its exit
+        code and one typed line on stderr, not a traceback or a warning."""
         code, out, err = run_cli(
             capsys,
             "boundary", "--method", "psor", "--r", "1", "--sigma", "0.05",
@@ -66,7 +66,8 @@ class TestBoundaryCommand:
         )
         assert code == EXIT_NUMERICAL
         assert out == ""
-        assert "level 36 (tau=3.6)" in err
+        assert err.startswith("putboundary: numerical failure: level 1: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, detail",
@@ -443,11 +444,17 @@ class TestEntryPoint:
         assert run_module("boundary", "--method", "kk", "--tau", "10").returncode == EXIT_DOMAIN
         assert run_module("--bogus").returncode == EXIT_USAGE
 
-    def test_compare_failure_independent_of_hash_seed(self):
-        """Two solvers fail here; the first listed, ssch, is reported under
-        every hash seed (psor's overflow came first under most seeds)."""
-        argv = ("compare", "--method", "ssch,psor,kk", "--benchmark", "ssch",
-                "--tau", "1e4", "--m", "200", "--n", "50")
+    def test_compare_failure_independent_of_hash_seed(self, capsys):
+        """Two solvers fail here, each on its own: ssch at node 15, and psor
+        at level 1 of a grid too narrow for the exercise region.  The first
+        listed, ssch, is reported under every hash seed."""
+        grid = ("--tau", "1e4", "--m", "200", "--n", "50", "--L", "0.05")
+        code, out, err = run_cli(
+            capsys, "compare", "--method", "psor,kk", "--benchmark", "psor", *grid
+        )
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("putboundary: numerical failure: level 1: ")
+        argv = ("compare", "--method", "ssch,psor,kk", "--benchmark", "ssch", *grid)
         runs = [run_module(*argv, hash_seed=seed) for seed in (0, 4)]
         for run in runs:
             assert run.returncode == EXIT_NUMERICAL and run.stdout == ""

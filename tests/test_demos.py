@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion on this checkout."""
+"""Every script in demos/ runs to completion on this checkout, with a
+RuntimeWarning made an error as in the pytest configuration."""
 
 import os
 import subprocess
@@ -19,6 +20,6 @@ def test_demos_found():
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
