@@ -147,9 +147,11 @@ class BoundaryCurve:
         return float(self.rhos[0])
 
     def value(self, tau) -> float | np.ndarray:
-        """Boundary level at time-to-maturity tau (scalar or array)."""
+        """Boundary level at time-to-maturity tau (scalar or array).  A tau
+        outside [0, horizon], NaN included, is a DomainError."""
         t = np.asarray(tau, dtype=float)
-        if np.any(t < 0) or np.any(t > self.grid.horizon + 1e-15 * max(1.0, self.grid.horizon)):
+        top = self.grid.horizon + 1e-15 * max(1.0, self.grid.horizon)
+        if not ((t >= 0.0) & (t <= top)).all():
             raise DomainError(
                 f"tau outside the curve's range [0, {self.grid.horizon}]"
             )

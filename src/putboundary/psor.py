@@ -134,8 +134,8 @@ def transform_constants(p: MarketParams) -> tuple[float, float]:
 #: most negative ln D allowed inside one scan block, so 1/D <= e^600 ~ 4e260
 _SCAN_DEPTH = 600.0
 
-#: below this |b| the partial sums of b/D stay under len(b) 2^100 e^600, far
-#: from overflow, so a block is scaled only above it
+#: below this bound on |y| the partial sums of b/D stay under
+#: len(b) 2^100 e^600, far from overflow, so the scan is scaled only above it
 _SCAN_SAFE = 2.0**100
 
 
@@ -146,10 +146,10 @@ class _LinearScan:
 
     D decays geometrically, so the coefficients are cut once into blocks
     inside which D stays above e^-_SCAN_DEPTH; each block restarts D at 1
-    and folds in the last y of the block before it.  A block whose largest
-    |b| could overflow the partial sums is scaled by a power of 2 first,
-    which is exact, so no intermediate value overflows while the result is
-    finite.
+    and folds in the last y of the block before it.  The caller passes a
+    bound on |y| (which also bounds |b|); when it could overflow the
+    partial sums, every block is scaled by one power of 2 first, which is
+    exact, so no intermediate value overflows while the result is finite.
     """
 
     def __init__(self, a: np.ndarray):
@@ -165,20 +165,21 @@ class _LinearScan:
             self.bounds.append(e)
         self.D = D
         self.inv_D = 1.0 / D
+        self.blocks = list(zip(self.bounds[:-1], self.bounds[1:]))
 
-    def __call__(self, b: np.ndarray, start: int = 0) -> np.ndarray:
-        """y[start:] for the recurrence started at y_start = b_start
-        (a_start is not used)."""
-        y = np.array(b[start:], dtype=float)
-        for s, e in zip(self.bounds[:-1], self.bounds[1:]):
+    def __call__(self, b: np.ndarray, start: int, bound: float) -> np.ndarray:
+        """Overwrite b[start:] with y[start:] for the recurrence started at
+        y_start = b_start (a_start is not used) and return that view; bound
+        must be at least max |y_i| over it."""
+        y = b[start:]
+        exp2 = math.frexp(bound)[1] if bound > _SCAN_SAFE else 0
+        for s, e in self.blocks:
             if e <= start:
                 continue
             lo = max(s, start)
             seg = y[lo - start : e - start]
             if lo > start:
                 seg[0] += self.a[lo] * y[lo - start - 1]
-            peak = float(np.abs(seg).max())
-            exp2 = math.frexp(peak)[1] if peak > _SCAN_SAFE else 0
             if exp2:
                 np.ldexp(seg, -exp2, out=seg)
             seg *= self.inv_D[lo:e]
@@ -242,20 +243,29 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     substitute = _LinearScan(ratio)
     gi = g[1:-1]
     cg = c * g[:-2]
+    # scan bounds: w >= g >= 0 at every level, so
+    # |rhs| <= (2c + |1 - lam|) e^{-beta k} max w_{j-1}; a scan whose
+    # coefficients are at most max(c/d') multiplies a bound by at most grow,
+    # and the substitution's input adds c max g and divides by min d'
+    grow = 1.0 / (1.0 - float(ratio.max()))
+    r_gain = (2.0 * c + abs(1.0 - lam)) * decay * grow
+    cg_max, dp_min = float(cg.max()), float(dp.min())
 
     for j in range(1, m + 1):
         prev = U[j - 1]
-        rhs = c_rhs * (prev[:-2] + prev[2:]) + mid_rhs * prev[1:-1]
-        r = eliminate(rhs[::-1])[::-1]  # r'_1 .. r'_last
+        r = c_rhs * (prev[:-2] + prev[2:]) + mid_rhs * prev[1:-1]
+        bound = r_gain * float(prev.max())
+        eliminate(r[::-1], 0, bound)  # right to left, in place: r is now r'_1 .. r'_last
         v = (r + cg) / dp
         off = v > gi
+        i0 = int(off.argmax())
         w = U[j, 1:-1]
-        if off.any():
-            i0 = int(off.argmax())
+        if off[i0]:
             w[:i0] = gi[:i0]
             r /= dp
             r[i0] = v[i0]
-            np.maximum(substitute(r, i0), gi[i0:], out=w[i0:])
+            y = substitute(r, i0, (bound + cg_max) / dp_min * grow)
+            np.maximum(y, gi[i0:], out=w[i0:])
         else:
             w[:] = gi
     return PsorSolution(U.T, cfg, p, alpha)

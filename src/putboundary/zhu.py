@@ -19,6 +19,7 @@ gamma_critical (about 0.0167821).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -92,16 +93,15 @@ def _check_tail(near, far, z: float, taus: np.ndarray, cfg: QuadratureConfig):
         )
 
 
-def _damped_integral(
-    taus: np.ndarray, p: MarketParams, cfg: QuadratureConfig, z_gauss: float, power: int
-) -> np.ndarray:
-    """int_0^inf zeta (a^2+zeta^2)^(power-1) e^{-tau sigma^2/2 (a^2+zeta^2)}
-    e^{-f1} sin f2 dzeta for each tau, by the trapezoid rule in s = ln zeta.
-
-    The integrand is analytic and decays at both ends in s, so the rule
-    converges exponentially in the node count.  The grid runs to
-    Z = max(cfg.semi_inf_truncation, z_gauss) whatever tau is: the kernel is
-    tabulated once and each tau costs one damping row and one row sum.
+@functools.lru_cache(maxsize=8)
+def _tabulated_kernel(p: MarketParams, cfg: QuadratureConfig, z_gauss: float, power: int):
+    """The tau-free part of _damped_integral's trapezoid rule in s = ln zeta,
+    tabulated once per market and grid: the weighted kernel row
+    zeta (a^2+zeta^2)^(power-1) e^{-f1} sin f2 * zeta h, the exponents
+    a^2+zeta^2 of the damping (the last one at the tail probe 1.1 Z), the
+    last node Z and the kernel at Z and at the probe.  The arrays are
+    read-only, because every call with the same arguments shares them.  A
+    non-finite kernel raises QuadratureNodeError, which is not cached.
     """
     z_max = max(cfg.semi_inf_truncation, z_gauss)
     s, h = np.linspace(
@@ -119,10 +119,25 @@ def _damped_integral(
     # dzeta = zeta ds; trapezoid weights h with halves at both ends
     kernel = g[:-1] * zeta[:-1] * h
     kernel[[0, -1]] *= 0.5
+    kernel.flags.writeable = q.flags.writeable = False
+    return kernel, q, float(zeta[-2]), float(g[-2]), float(g[-1])
+
+
+def _damped_integral(
+    taus: np.ndarray, p: MarketParams, cfg: QuadratureConfig, z_gauss: float, power: int
+) -> np.ndarray:
+    """int_0^inf zeta (a^2+zeta^2)^(power-1) e^{-tau sigma^2/2 (a^2+zeta^2)}
+    e^{-f1} sin f2 dzeta for each tau, by the trapezoid rule in s = ln zeta.
+
+    The integrand is analytic and decays at both ends in s, so the rule
+    converges exponentially in the node count.  The grid runs to
+    Z = max(cfg.semi_inf_truncation, z_gauss) whatever tau is: the kernel is
+    tabulated once per market (_tabulated_kernel) and each tau costs one
+    damping row and one row sum.
+    """
+    kernel, q, z, g_near, g_far = _tabulated_kernel(p, cfg, z_gauss, power)
     damp = np.exp(np.multiply.outer(-0.5 * p.sigma**2 * taus, q))
-    _check_tail(
-        np.abs(g[-2] * damp[:, -2]), np.abs(g[-1] * damp[:, -1]), float(zeta[-2]), taus, cfg
-    )
+    _check_tail(np.abs(g_near * damp[:, -2]), np.abs(g_far * damp[:, -1]), z, taus, cfg)
     return np.sum(kernel * damp[:, :-1], axis=-1)
 
 

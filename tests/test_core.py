@@ -14,6 +14,7 @@ from putboundary import (
     QuadratureConfig,
     QuadratureNodeError,
     TauGrid,
+    boundary_rel_err,
     find_root_bracketed,
     norm_cdf,
 )
@@ -172,6 +173,18 @@ class TestInterpolation:
             curve.value(1.5)
         with pytest.raises(DomainError):
             curve.value(-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, bad):
+        """NaN compares false with both ends of the range, so it used to
+        pass the range check and come back as a NaN level."""
+        curve = BoundaryCurve(TauGrid(np.array([0.0, 1.0])), np.array([1.0, 0.5]))
+        with pytest.raises(DomainError, match="outside the curve's range"):
+            curve.value(bad)
+        with pytest.raises(DomainError, match="outside the curve's range"):
+            curve.value(np.array([0.5, bad]))
+        with pytest.raises(DomainError, match="outside the curve's range"):
+            boundary_rel_err(curve, lambda tau: 0.7, bad)
 
 
 class TestTypes:

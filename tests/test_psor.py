@@ -186,9 +186,15 @@ def _recurrence(a, b, start=0):
     return np.array(y)
 
 
+def _y_bound(a, b, start=0):
+    """max |b| / (1 - max a) over the scanned range: the bound on |y| that
+    psor_solve derives the same way for its scans."""
+    return float(np.abs(b[start:]).max()) / (1.0 - float(a.max()))
+
+
 class TestLinearScan:
     """The prefix-scan form of y_i = b_i + a_i y_{i-1} against the plain
-    recurrence."""
+    recurrence, with the bound on |y| passed in."""
 
     rng = np.random.default_rng(7)
 
@@ -199,9 +205,21 @@ class TestLinearScan:
         scan = _LinearScan(a)
         for start in (0, 1, 1234):
             want = _recurrence(a, b, start)
-            got = scan(b, start)
+            buf = b.copy()
+            got = scan(buf, start, _y_bound(a, b, start))
+            # the scan overwrites b[start:] and returns that view
+            assert np.shares_memory(got, buf) and np.array_equal(buf[:start], b[:start])
             # measured: <= 7.1e-15, with a near 1 where y sums ~3000 terms
             assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max(), (a_lo, start)
+
+    def test_reversed_view_in_place(self):
+        """psor's elimination scans the level's buffer right to left through
+        a reversed view."""
+        a = self.rng.uniform(0.3, 0.7, 500)
+        b = self.rng.uniform(-1.0, 1.0, 500)
+        buf = b[::-1].copy()
+        _LinearScan(a)(buf[::-1], 0, _y_bound(a, b))
+        assert np.abs(buf[::-1] - _recurrence(a, b)).max() <= 1e-15 * np.abs(buf).max()
 
     def test_block_boundaries(self):
         """With a = 1e-3 a block holds 87 coefficients (D = 1e-258 ~ e^-594
@@ -215,7 +233,8 @@ class TestLinearScan:
         edge = scan.bounds[3]
         for start in (0, edge - 1, edge, edge + 1, 999):
             want = _recurrence(a, b, start)
-            assert np.abs(scan(b, start) - want).max() <= 1e-15 * np.abs(want).max()
+            got = scan(b.copy(), start, _y_bound(a, b, start))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_coefficient_near_zero_starts_a_block(self):
         a = np.full(50, 0.5)
@@ -224,21 +243,22 @@ class TestLinearScan:
         scan = _LinearScan(a)
         assert {10, 11, 30} <= set(scan.bounds)
         want = _recurrence(a, b)
-        assert np.abs(scan(b) - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(scan(b.copy(), 0, _y_bound(a, b)) - want).max() <= 1e-15 * np.abs(want).max()
 
     @pytest.mark.parametrize("size", [1e300, 1e-300])
     def test_extreme_values_stay_finite(self, size):
         """b near 1e300 and y up to ~7e300 stay finite, though b/D alone
-        would overflow: 1/D reaches 0.875^-1999 ~ 1e116 in the one block."""
+        would overflow: 1/D reaches 0.875^-1999 ~ 1e116 in the one block.
+        The bound 8e300 scales the blocks; 8e-300 leaves them as they are."""
         a = np.full(2000, 0.875)
         b = size * self.rng.uniform(0.5, 1.0, 2000)
         want = _recurrence(a, b)
-        got = _LinearScan(a)(b)
+        got = _LinearScan(a)(b.copy(), 0, _y_bound(a, b))
         assert np.all(np.isfinite(got))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_zero_right_hand_side(self):
-        assert np.array_equal(_LinearScan(np.full(5, 0.5))(np.zeros(5)), np.zeros(5))
+        assert np.array_equal(_LinearScan(np.full(5, 0.5))(np.zeros(5), 0, 0.0), np.zeros(5))
 
 
 # (n, m, T, L) with lam = sigma^2 k / (2 h^2) at sigma = 0.3 from 9e-4 to
@@ -290,6 +310,38 @@ class TestScaledLevels:
     def test_long_horizon_levels_bounded(self, params):
         # the unscaled levels e^(beta tau) w overflow at level 121 (tau = 6050)
         self.assert_bounded(params, PsorConfig(n=50, m=200, T=1e4, L=2.5))
+
+
+class TestScanBounds:
+    """The bound psor_solve passes to each scan dominates the largest |b|
+    and |y| of that scan at every level, so the overflow guard sees a true
+    bound."""
+
+    @staticmethod
+    def assert_bounds_dominate(monkeypatch, p, cfg):
+        scan = _LinearScan.__call__
+        seen = []
+
+        def spy(self, b, start, bound):
+            peak = float(np.abs(b[start:]).max())
+            y = scan(self, b, start, bound)
+            seen.append((max(peak, float(np.abs(y).max())), bound))
+            return y
+
+        monkeypatch.setattr(_LinearScan, "__call__", spy)
+        psor_solve(p, cfg)
+        assert len(seen) >= cfg.m
+        assert all(peak <= bound < math.inf for peak, bound in seen)
+
+    @pytest.mark.parametrize("n, m, T, L", ORACLE_GRIDS)
+    def test_oracle_grids(self, monkeypatch, n, m, T, L):
+        cfg = PsorConfig(n=n, m=m, T=T, L=L)
+        for gamma in (0.6, 1.0, 3.0, 6.0):
+            p = MarketParams(r=0.5 * gamma * 0.3**2, sigma=0.3, strike=100.0)
+            self.assert_bounds_dominate(monkeypatch, p, cfg)
+
+    def test_long_horizon_grid(self, monkeypatch, params):
+        self.assert_bounds_dominate(monkeypatch, params, PsorConfig(n=50, m=200, T=1e4, L=2.5))
 
 
 class TestOnePassExtraction:

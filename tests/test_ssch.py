@@ -399,3 +399,19 @@ class TestNewtonSteps:
         p = MarketParams(r=0.54, sigma=0.3, strike=100.0)
         with pytest.raises(NumericalError, match=r"node \d+ \(tau=[0-9.]+\)"):
             solve_boundary(p, 5.0, 200)
+
+    @pytest.mark.parametrize(
+        "r, sigma, m", [(0.405, 0.258, 200), (0.349, 0.2, 100), (0.438, 0.272, 200)]
+    )
+    def test_high_gamma_stops_or_stays_above_perpetual(self, r, sigma, m):
+        """gamma = 12-17 over five years: the path drops below the perpetual
+        boundary gamma E/(1+gamma) before the last node, and only the
+        residual test at a later node stops the solve.  A change of the
+        node solve may make it accurate, or keep it stopping, but must not
+        turn it into a boundary below the perpetual one with no error."""
+        p = MarketParams(r=r, sigma=sigma, strike=100.0)
+        try:
+            curve = solve_boundary(p, 5.0, m)
+        except NumericalError:
+            return
+        assert curve.rhos.min() >= p.perpetual_boundary

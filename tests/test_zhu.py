@@ -17,7 +17,7 @@ from putboundary import (
     zhu_kernels,
     zhu_second_derivative,
 )
-from putboundary.zhu import SMALL_TAU_CUTOFF
+from putboundary.zhu import SMALL_TAU_CUTOFF, _tabulated_kernel
 
 import oracles
 
@@ -215,6 +215,46 @@ class TestArrayContract:
         with np.errstate(all="ignore"), pytest.raises(QuadratureNodeError) as err:
             rho_zhu(np.array([0.5, 1.0]), p)
         assert err.value.abscissa == pytest.approx(1e-6)
+
+
+class TestKernelTable:
+    """The tau-free kernel row is tabulated once per market and shared by
+    every later call."""
+
+    TAUS = np.array([1e-3, 0.02, 0.4, 1.0, 5.0])
+
+    def test_scalar_equals_array_element_from_a_warm_table(self, params):
+        _tabulated_kernel.cache_clear()
+        want = rho_zhu(self.TAUS, params)  # fills the table
+        got = np.array([rho_zhu(float(t), params) for t in self.TAUS])
+        assert _tabulated_kernel.cache_info().hits == self.TAUS.size
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _tabulated_kernel.cache_clear()
+        assert rho_zhu(1.0, params) == want[3]  # a cold table gives the same bits
+
+    def test_tables_are_read_only(self, params):
+        rho_zhu(1.0, params)
+        z_gauss = 8.0 / (params.sigma * math.sqrt(SMALL_TAU_CUTOFF))
+        kernel, q, *_ = _tabulated_kernel(params, QuadratureConfig(), z_gauss, 0)
+        for row in (kernel, q):
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+
+    def test_non_finite_kernel_raised_on_every_call(self):
+        p = MarketParams(r=0.1, sigma=1e-160, strike=100.0)  # gamma overflows
+        before = _tabulated_kernel.cache_info()
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                with pytest.raises(QuadratureNodeError):
+                    rho_zhu(1.0, p)
+        after = _tabulated_kernel.cache_info()
+        # both calls tabulated afresh, and the failure left no table behind
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits,
+            before.misses + 2,
+            before.currsize,
+        )
 
 
 class TestTailBound:
