@@ -40,13 +40,11 @@ from .zhu import (
     zhu_second_derivative,
 )
 from .ssch import (
-    EtaPath,
     LogDomainError,
     MeshError,
     MeshKind,
     build_mesh,
     solve_boundary,
-    solve_eta_at,
 )
 from .psor import (
     NoContactError,

@@ -65,13 +65,17 @@ def eta_lowest_order(tau, p: MarketParams):
     Accepts scalars or arrays; defined while (2r/sigma) sqrt(2 pi tau) e^{r tau} < 1.
     A Python or numpy scalar is evaluated with math and returned as a float,
     an array (0-d included) with numpy; both run the one formula of _eta.
-    A scalar tau must be positive.
+    A scalar tau and every element of an array must be positive.
     """
     if type(tau) is float or isinstance(tau, (int, np.generic)):
         if not tau > 0:
             raise DomainError(f"tau must be positive, got {tau}")
         return _eta(float(tau), p, math)
-    return _eta(np.asarray(tau, dtype=float), p, np)
+    t = np.asarray(tau, dtype=float)
+    bad = ~(t > 0.0)
+    if bad.any():
+        raise DomainError(f"tau must be positive, got {t[bad][0]}")
+    return _eta(t, p, np)
 
 
 def rho_kk(tau: float, p: MarketParams) -> float:

@@ -60,6 +60,8 @@ def european_put(S: float, tau: float, p: MarketParams) -> float:
         raise DomainError(f"price must be positive, got S={S}")
     if tau < 0:
         raise DomainError(f"tau must be nonnegative, got {tau}")
+    if not (math.isfinite(S) and math.isfinite(tau)):
+        raise DomainError(f"price and tau must be finite, got S={S}, tau={tau}")
     E = p.strike
     if tau == 0.0:
         return max(E - S, 0.0)

@@ -295,9 +295,10 @@ def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> Bou
     if edge.any():
         # only the pinned edge node is on the payoff: the exercise region
         # lies outside the grid
+        j = int(edge.argmax()) + 1
         raise NoContactError(
-            f"level {int(edge.argmax()) + 1}: contact region does not reach past the "
-            "left edge; increase L"
+            f"level {j}: contact region does not reach past the left edge at "
+            f"tau={taus[j]:g} on the grid L={sol.config.L:g}, n={sol.config.n}, m={sol.config.m}"
         )
     rows = np.flatnonzero(detaches)
     ifd = ifd[rows]

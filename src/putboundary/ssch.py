@@ -18,9 +18,10 @@ long horizons when gamma = 2r/sigma^2 > 1 (rho then falls below
 E e^{-(r - sigma^2/2) tau}).
 F and G only look backwards: their value at tau depends on eta on [0, tau]
 alone, so the unknowns eta(tau_1), ..., eta(tau_m) can be solved one node
-at a time, each by Newton steps on the analytic slope of
-H(eta) = eta^2 + ln A(eta) from the value extrapolated from the two nodes
-before it, with a bracketed root find as the fallback.
+at a time.  solve_boundary keeps them in one array and solves node i by
+_solve_node, which reads only the values before it: Newton steps on the
+analytic slope of H(eta) = eta^2 + ln A(eta) from the value extrapolated
+from the two nodes before it, with a bracketed root find as the fallback.
 The very first node comes from the closed small-tau formula; below tau_1 the
 path is evaluated by that same formula, between nodes by linear
 interpolation.
@@ -31,11 +32,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import _log_eta_argument, eta_lowest_order
+from .asymptotics import _eta, _log_eta_argument, eta_lowest_order
 from .core import (
     BoundaryCurve,
     BracketError,
@@ -52,9 +52,7 @@ __all__ = [
     "MeshKind",
     "MeshError",
     "LogDomainError",
-    "EtaPath",
     "build_mesh",
-    "solve_eta_at",
     "solve_boundary",
 ]
 
@@ -67,10 +65,10 @@ class LogDomainError(NumericalError):
     """The log argument A stayed at or below 0 over the whole root bracket."""
 
 
-#: times the root bracket of solve_eta_at doubles, from half-width 0.05 to 12.8
+#: times the root bracket of _solve_node doubles, from half-width 0.05 to 12.8
 BRACKET_DOUBLINGS = 8
 
-#: Newton steps solve_eta_at takes before it falls back to the bracket
+#: Newton steps _solve_node takes before it falls back to the bracket
 _NEWTON_STEPS = 4
 
 
@@ -105,60 +103,27 @@ def build_mesh(T: float, m: int, kind: MeshKind, p: MarketParams) -> TauGrid:
     return TauGrid(taus)
 
 
-@dataclass
-class EtaPath:
-    """Solved values of eta on the leading mesh nodes.
+def _sample(taus: np.ndarray, etas: np.ndarray, i: int, s: np.ndarray, p: MarketParams):
+    """Path at ascending times s in [0, tau_i], with etas[1:i] solved, as
+    base + slope * eta_i.
 
-    etas[k] belongs to grid.taus[k+1]; node 0 carries no unknown.  Between
-    tau_1 and the last solved node the path interpolates linearly; on
-    (0, tau_1) it follows the closed small-tau formula.
+    Only the last mesh segment (tau_{i-1}, tau_i] depends on the not yet
+    solved value eta_i, and it does so linearly; the solved part of the path
+    gives slope 0.  As s ascends, the head formula on (0, tau_1), the
+    interpolated part and the last segment are contiguous slices.
     """
-
-    grid: TauGrid
-    params: MarketParams
-    etas: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.etas) > len(self.grid) - 1:
-            raise DomainError("more eta values than positive mesh nodes")
-        if not all(math.isfinite(e) for e in self.etas):
-            raise DomainError("every eta value must be finite")
-
-    @property
-    def solved(self) -> int:
-        return len(self.etas)
-
-    def append(self, eta: float):
-        if not math.isfinite(eta):
-            raise DomainError(f"eta must be finite, got {eta}")
-        if self.solved >= len(self.grid) - 1:
-            raise DomainError("path already complete")
-        self.etas.append(float(eta))
-
-    def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Path at ascending times s in [0, tau_next], where tau_next is the
-        first unsolved node, as base + slope * eta_next.
-
-        Only the last mesh segment (tau_k, tau_next] depends on the not yet
-        committed value eta_next, and it does so linearly; the solved part
-        of the path gives slope 0.  As s ascends, the head formula, the
-        interpolated part and the last segment are contiguous slices.
-        """
-        s = np.asarray(s, dtype=float)
-        taus = self.grid.taus
-        k = self.solved
-        if not 1 <= k < len(taus) - 1:
-            raise DomainError("sampling needs a solved first node and an unsolved next node")
-        base = np.empty_like(s)
-        slope = np.zeros_like(s)
-        head = int(np.searchsorted(s, taus[1]))
-        last = int(np.searchsorted(s, taus[k], side="right"))
-        base[:head] = eta_lowest_order(np.maximum(s[:head], 1e-300), self.params)
-        base[head:last] = np.interp(s[head:last], taus[1 : k + 1], self.etas)
-        w = (s[last:] - taus[k]) / (taus[k + 1] - taus[k])
-        base[last:] = self.etas[-1] * (1.0 - w)
-        slope[last:] = w
-        return base, slope
+    base = np.empty_like(s)
+    slope = np.zeros_like(s)
+    k = i - 1
+    head = int(np.searchsorted(s, taus[1]))
+    last = int(np.searchsorted(s, taus[k], side="right"))
+    # the clamped times are positive, so the unchecked formula applies
+    base[:head] = _eta(np.maximum(s[:head], 1e-300), p, np)
+    base[head:last] = np.interp(s[head:last], taus[1:i], etas[1:i])
+    w = (s[last:] - taus[k]) / (taus[i] - taus[k])
+    base[last:] = etas[k] * (1.0 - w)
+    slope[last:] = w
+    return base, slope
 
 
 @functools.lru_cache(maxsize=64)
@@ -246,40 +211,26 @@ def _newton(h_and_slope, eta: float, tol: float) -> float | None:
     return eta if abs(h) <= tol else None
 
 
-def solve_eta_at(
-    path: EtaPath,
-    tau_i: float,
-    p: MarketParams,
-    cfg: QuadratureConfig | None = None,
+def _solve_node(
+    taus: np.ndarray, etas: np.ndarray, i: int, p: MarketParams, cfg: QuadratureConfig
 ) -> float:
-    """Value of eta at the next mesh node, given the path solved so far.
+    """Value of eta at mesh node i >= 2, given the path etas[1:i] solved so
+    far; etas[i:] is not read.
 
-    The first positive node bypasses root finding and takes the closed
-    small-tau value.  Later nodes sample the path and build the F integrand
-    once, then solve H(eta) = eta^2 + ln A(eta) = 0 by Newton steps on the
-    analytic slope H' = 2 eta - F'/(sqrt(pi) - F), from the linear
-    extrapolation 2 eta_{i-1} - eta_{i-2} of the two nodes before (the
-    previous value at node 2), and accept a point with |H| <= root_tol/2,
-    the stop of the bracketed root finder.  If ln A is -inf, a step does
-    not shrink |H| or _NEWTON_STEPS steps do not converge, the bracketed
-    root finder takes over, on a bracket of half-width 0.05 around the
-    previous node's value that doubles, up to BRACKET_DOUBLINGS times,
-    until it encloses a sign change.
+    Samples the path and builds the F integrand once, then solves
+    H(eta) = eta^2 + ln A(eta) = 0 by Newton steps on the analytic slope
+    H' = 2 eta - F'/(sqrt(pi) - F), from the linear extrapolation
+    2 eta_{i-1} - eta_{i-2} of the two nodes before (the previous value at
+    node 2), and accepts a point with |H| <= root_tol/2, the stop of the
+    bracketed root finder.  If ln A is -inf, a step does not shrink |H| or
+    _NEWTON_STEPS steps do not converge, the bracketed root finder takes
+    over, on a bracket of half-width 0.05 around the previous node's value
+    that doubles, up to BRACKET_DOUBLINGS times, until it encloses a sign
+    change.
     """
-    cfg = cfg or QuadratureConfig()
-    i = path.solved + 1
-    taus = path.grid.taus
-    if i >= len(taus):
-        raise DomainError("path already covers the whole mesh")
-    if not math.isclose(tau_i, taus[i], rel_tol=0.0, abs_tol=1e-14 * max(1.0, taus[i])):
-        raise DomainError(f"tau_i={tau_i!r} is not the next unsolved node {taus[i]!r}")
-
-    if i == 1:
-        return float(eta_lowest_order(taus[1], p))
-
     tau_i = float(taus[i])
     st = _theta_nodes(cfg.finite_subintervals)[0]
-    F = _f_of_eta(tau_i, *path.sample(tau_i * st * st), p, cfg)
+    F = _f_of_eta(tau_i, *_sample(taus, etas, i, tau_i * st * st, p), p, cfg)
 
     sqrt_pi = math.sqrt(math.pi)
 
@@ -294,9 +245,8 @@ def solve_eta_at(
             return -math.inf, math.nan
         return eta * eta + math.log(A), 2.0 * eta - df / (sqrt_pi - f)
 
-    etas = path.etas
-    prev = etas[-1]
-    start = 2.0 * prev - etas[-2] if len(etas) > 1 else prev
+    prev = float(etas[i - 1])
+    start = 2.0 * prev - float(etas[i - 2]) if i > 2 else prev
     eta = _newton(h_and_slope, start, 0.5 * cfg.root_tol)
     if eta is not None:
         return eta
@@ -338,17 +288,17 @@ def solve_boundary(
     """
     cfg = cfg or QuadratureConfig()
     grid = build_mesh(T, m, mesh, p)
-    path = EtaPath(grid, p)
-    for i in range(1, m + 1):
+    taus = grid.taus
+    etas = np.full(m + 1, math.nan)  # node 0 carries no unknown
+    etas[1] = eta_lowest_order(float(taus[1]), p)
+    for i in range(2, m + 1):
         try:
-            path.append(solve_eta_at(path, float(grid.taus[i]), p, cfg))
+            etas[i] = _solve_node(taus, etas, i, p, cfg)
         except NumericalError as exc:
             raise type(exc)(f"boundary solve failed at node {i}: {exc}") from exc
-    taus = grid.taus
-    etas = np.asarray(path.etas)
     rhos = np.empty(m + 1)
     rhos[0] = p.strike
     rhos[1:] = p.strike * np.exp(
-        -(p.r - 0.5 * p.sigma**2) * taus[1:] + p.sigma * np.sqrt(2.0 * taus[1:]) * etas
+        -(p.r - 0.5 * p.sigma**2) * taus[1:] + p.sigma * np.sqrt(2.0 * taus[1:]) * etas[1:]
     )
     return BoundaryCurve(grid, rhos)

@@ -357,31 +357,28 @@ def psor_brennan_schwartz_levels(p, cfg) -> np.ndarray:
     return U
 
 
-def ssch_bracket_eta_at(path, p, cfg) -> float:
-    """eta at the next unsolved node of an ssch path by the bracketed root
-    finder alone: H(eta) = eta^2 + ln A(eta), -inf where A <= 0, on a
-    bracket of half-width 0.05 around the previous node's value that
-    doubles up to ssch.BRACKET_DOUBLINGS times until it encloses a sign
+def ssch_bracket_eta_at(taus, etas, i, p, cfg) -> float:
+    """eta at node i >= 2 of an ssch path with etas[1:i] solved, by the
+    bracketed root finder alone: H(eta) = eta^2 + ln A(eta), -inf where
+    A <= 0, on a bracket of half-width 0.05 around the previous node's value
+    that doubles up to ssch.BRACKET_DOUBLINGS times until it encloses a sign
     change, then Brent's method.  The reference for the Newton steps of
-    ssch.solve_eta_at."""
+    ssch._solve_node."""
     import functools
 
     from putboundary import ssch
     from putboundary.core import BracketError, find_root_bracketed
 
-    i = path.solved + 1
-    tau_i = float(path.grid.taus[i])
-    if i == 1:
-        return float(ssch.eta_lowest_order(tau_i, p))
+    tau_i = float(taus[i])
     st = ssch._theta_nodes(cfg.finite_subintervals)[0]
-    F = ssch._f_of_eta(tau_i, *path.sample(tau_i * st * st), p, cfg)
+    F = ssch._f_of_eta(tau_i, *ssch._sample(taus, etas, i, tau_i * st * st, p), p, cfg)
 
     @functools.cache
     def H(eta):
         A = ssch._log_argument(F(eta)[0], tau_i, p)
         return eta * eta + math.log(A) if A > 0.0 else -math.inf
 
-    prev = path.etas[-1]
+    prev = float(etas[i - 1])
     for doublings in range(ssch.BRACKET_DOUBLINGS + 1):
         lo, hi = prev - 0.05 * 2.0**doublings, prev + 0.05 * 2.0**doublings
         if min(H(lo), H(hi)) <= 0.0 <= max(H(lo), H(hi)):
@@ -395,19 +392,20 @@ def ssch_bracket_eta_at(path, p, cfg) -> float:
 
 
 def ssch_bracket_boundary(p, T: float, m: int, cfg=None) -> np.ndarray:
-    """rho at every node of ssch's quadratic mesh on [0, T], each node
-    solved by ssch_bracket_eta_at."""
+    """rho at every node of ssch's quadratic mesh on [0, T]: node 1 from
+    the closed small-tau formula, every later node by ssch_bracket_eta_at."""
     from putboundary import ssch
     from putboundary.core import QuadratureConfig
 
     cfg = cfg or QuadratureConfig()
-    grid = ssch.build_mesh(T, m, ssch.MeshKind.QUADRATIC, p)
-    path = ssch.EtaPath(grid, p)
-    for _ in range(m):
-        path.append(ssch_bracket_eta_at(path, p, cfg))
-    taus = grid.taus[1:]
+    taus = ssch.build_mesh(T, m, ssch.MeshKind.QUADRATIC, p).taus
+    etas = np.full(m + 1, math.nan)
+    etas[1] = ssch.eta_lowest_order(float(taus[1]), p)
+    for i in range(2, m + 1):
+        etas[i] = ssch_bracket_eta_at(taus, etas, i, p, cfg)
+    taus, etas = taus[1:], etas[1:]
     rhos = p.strike * np.exp(
-        -(p.r - 0.5 * p.sigma**2) * taus + p.sigma * np.sqrt(2.0 * taus) * np.asarray(path.etas)
+        -(p.r - 0.5 * p.sigma**2) * taus + p.sigma * np.sqrt(2.0 * taus) * etas
     )
     return np.concatenate(([p.strike], rhos))
 
@@ -435,8 +433,10 @@ def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
             continue
         ifd = int(np.argmax(detached))
         if ifd <= 1:
+            cfg = sol.config
             raise NoContactError(
-                f"level {j}: contact region does not reach past the left edge; increase L"
+                f"level {j}: contact region does not reach past the left edge at "
+                f"tau={sol.taus[j]:g} on the grid L={cfg.L:g}, n={cfg.n}, m={cfg.m}"
             )
         ic = ifd - 1
         g0, g1 = float(gap[ic]), float(gap[ifd])

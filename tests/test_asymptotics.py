@@ -207,9 +207,13 @@ class TestScalarArrayAgreement:
             eta_lowest_order(tau, params)
         assert str(err.value) == ETA_EDGE_MESSAGE
 
-    @pytest.mark.parametrize("tau", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize(
+        "tau",
+        [0.0, -1e-3, math.nan, np.array([math.nan]), np.array([0.0, 0.01]), np.array([-0.01])],
+    )
     def test_eta_rejects_nonpositive_scalar(self, params, tau):
-        with pytest.raises(DomainError):
+        """A scalar, or any element of an array, that is not positive."""
+        with pytest.raises(DomainError, match="tau must be positive"):
             eta_lowest_order(tau, params)
 
     def test_ssc_analytic_domain_message(self, params):

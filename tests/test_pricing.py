@@ -63,6 +63,11 @@ class TestEuropeanPut:
         # deep ITM European put trades below parity under positive rates
         assert european_put(50.0, 1.0, params) < 50.0
 
+    @pytest.mark.parametrize("S, tau", [(100.0, math.nan), (100.0, math.inf), (math.inf, 1.0)])
+    def test_non_finite_input_rejected(self, params, S, tau):
+        with pytest.raises(DomainError):
+            european_put(S, tau, params)
+
 
 class TestGreenKernel:
     """The oracle's heat kernel, which the double-integral route integrates."""

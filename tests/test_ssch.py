@@ -5,8 +5,6 @@ import pytest
 
 from putboundary import (
     BracketError,
-    DomainError,
-    EtaPath,
     LogDomainError,
     MarketParams,
     MeshError,
@@ -19,10 +17,9 @@ from putboundary import (
     extract_boundary,
     psor_solve,
     solve_boundary,
-    solve_eta_at,
 )
 from putboundary import ssch
-from putboundary.ssch import _f_of_eta, _log_argument, _newton, _theta_nodes
+from putboundary.ssch import _f_of_eta, _log_argument, _newton, _sample, _solve_node, _theta_nodes
 
 import oracles
 
@@ -46,21 +43,43 @@ NEWTON_MARKETS = [
 ]
 
 
-def increment(path, eta_i, tau_i, theta):
+def path(grid, solved):
+    """eta array on the grid with the given values on nodes 1, 2, ... and
+    NaN on node 0 and every unsolved node."""
+    etas = np.full(len(grid), math.nan)
+    etas[1 : len(solved) + 1] = solved
+    return etas
+
+
+def increment(taus, etas, i, eta_i, theta, p):
     """G = [eta_i - eta(tau_i sin^2 th) sin(th)] / cos(th) on the path
-    sampled with eta_i as the value at the next node tau_i."""
+    sampled with eta_i as the value at node i."""
     st = np.sin(theta)
-    base, slope = path.sample(tau_i * st * st)
+    base, slope = _sample(taus, etas, i, taus[i] * st * st, p)
     return (eta_i - (base + slope * eta_i) * st) / np.cos(theta)
 
 
-def f_on_path(path, eta_i, tau_i, p, cfg=None):
-    """F at the next node for the trial eta_i, with the path sampled on the
-    nodes of the theta rule."""
+def f_on_path(taus, etas, i, eta_i, p, cfg=None):
+    """F at node i for the trial eta_i, with the path sampled on the nodes
+    of the theta rule."""
     cfg = cfg or QuadratureConfig()
+    tau_i = float(taus[i])
     st = _theta_nodes(cfg.finite_subintervals)[0]
-    base, slope = path.sample(tau_i * st * st)
+    base, slope = _sample(taus, etas, i, tau_i * st * st, p)
     return _f_of_eta(tau_i, base, slope, p, cfg)(eta_i)[0]
+
+
+def _spy_on_nodes(monkeypatch):
+    """Record (i, etas) for every _solve_node call of solve_boundary; etas
+    is the solve's own array, so it is complete once the solve returns."""
+    nodes = []
+
+    def spy(taus, etas, i, p, cfg):
+        nodes.append((i, etas))
+        return _solve_node(taus, etas, i, p, cfg)
+
+    monkeypatch.setattr(ssch, "_solve_node", spy)
+    return nodes
 
 
 class TestMesh:
@@ -84,19 +103,20 @@ class TestMesh:
 class TestPathAndMappings:
     def test_g_at_theta_zero(self, params):
         grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [float(eta_lowest_order(grid.taus[1], params))])
-        assert increment(path, -1.25, 0.02, np.array([0.0]))[0] == -1.25
+        etas = path(grid, [eta_lowest_order(grid.taus[1], params)])
+        assert increment(grid.taus, etas, 2, -1.25, np.array([0.0]), params)[0] == -1.25
 
     def test_g_constant_path(self, params):
         """With a flat path eta == c the increment is c (1 - sin)/cos -> 0."""
         c = -0.8
         grid = build_mesh(0.04, 4, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [c, c, c])
+        etas = path(grid, [c, c, c])
         theta = np.array([0.3, 1.0, 1.4])
         assert np.all(0.04 * np.sin(theta) ** 2 >= grid.taus[1])  # clear of the head formula
         want = c * (1 - np.sin(theta)) / np.cos(theta)
-        assert increment(path, c, 0.04, theta) == pytest.approx(want, rel=1e-12)
-        assert abs(increment(path, c, 0.04, np.array([math.pi / 2 - 1e-6]))[0]) < 1e-5
+        assert increment(grid.taus, etas, 4, c, theta, params) == pytest.approx(want, rel=1e-12)
+        edge = np.array([math.pi / 2 - 1e-6])
+        assert abs(increment(grid.taus, etas, 4, c, edge, params)[0]) < 1e-5
 
     def test_g_against_precision_oracle(self, params):
         # grid [0, 0.005, 0.02]; node 1 holds the closed-form seed, the trial
@@ -107,7 +127,7 @@ class TestPathAndMappings:
         trial = float(eta_lowest_order(0.02, params))
         assert eta1 == pytest.approx(-1.4612273122883756, abs=1e-13)
         st, ct = _theta_nodes(4)[:2]
-        base, slope = EtaPath(grid, params, [eta1]).sample(0.02 * st * st)
+        base, slope = _sample(grid.taus, path(grid, [eta1]), 2, 0.02 * st * st, params)
         got = (trial - (base[2] + slope[2] * trial) * st[2]) / ct[2]
         assert got == pytest.approx(-0.32314704296296677, abs=1e-12)
 
@@ -116,10 +136,9 @@ class TestPathAndMappings:
         interpolation through the solved nodes and the trial node above."""
         grid = build_mesh(0.1, 6, MeshKind.QUADRATIC, params)
         etas = [float(eta_lowest_order(grid.taus[1], params)), -1.3, -1.25, -1.22]
-        path = EtaPath(grid, params, etas)
         tau_i, trial = float(grid.taus[5]), -1.2
         s = np.linspace(0.0, tau_i, 101)[1:]
-        base, slope = path.sample(s)
+        base, slope = _sample(grid.taus, path(grid, etas), 5, s, params)
         head = s < grid.taus[1]
         want = np.interp(s, grid.taus[1:6], etas + [trial])
         want[head] = eta_lowest_order(s[head], params)
@@ -145,41 +164,26 @@ class TestPathAndMappings:
         grid = build_mesh(0.01, 2, MeshKind.QUADRATIC, params)
         eta1 = float(eta_lowest_order(0.0025, params))
         trial = float(eta_lowest_order(0.01, params))
-        got = f_on_path(EtaPath(grid, params, [eta1]), trial, 0.01, params)
+        got = f_on_path(grid.taus, path(grid, [eta1]), 2, trial, params)
         assert got == pytest.approx(-0.7958124774202444, abs=1e-6)
-
-    def test_path_invariants(self, params):
-        """eta may take either sign; it must be finite, and the path never
-        holds more values than positive mesh nodes."""
-        grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
-        assert EtaPath(grid, params, [0.5]).etas == [0.5]
-        with pytest.raises(DomainError):
-            EtaPath(grid, params, [-1.0, -0.9, -0.8])
-        with pytest.raises(DomainError):
-            EtaPath(grid, params, [math.nan])
-        path = EtaPath(grid, params, [])
-        with pytest.raises(DomainError):
-            path.append(math.inf)
-        path.append(-0.5)
-        path.append(0.0)
-        with pytest.raises(DomainError):
-            path.append(0.1)
 
 
 class TestNodeSolve:
-    def test_first_node_is_closed_form(self, params):
-        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params)
-        got = solve_eta_at(path, float(grid.taus[1]), params)
-        assert got == float(eta_lowest_order(grid.taus[1], params))
+    def test_first_node_is_closed_form(self, params, monkeypatch):
+        """Node 1 takes the closed small-tau value; root finding starts at
+        node 2."""
+        nodes = _spy_on_nodes(monkeypatch)
+        curve = solve_boundary(params, 0.1, 10)
+        i, etas = nodes[0]
+        assert i == 2
+        assert etas[1] == eta_lowest_order(float(curve.grid.taus[1]), params)
 
     def test_residual_contract(self, params):
         cfg = QuadratureConfig()
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params)
-        path.append(solve_eta_at(path, float(grid.taus[1]), params, cfg))
-        eta2 = solve_eta_at(path, float(grid.taus[2]), params, cfg)
-        F = f_on_path(path, eta2, float(grid.taus[2]), params, cfg)
+        etas = path(grid, [eta_lowest_order(grid.taus[1], params)])
+        eta2 = _solve_node(grid.taus, etas, 2, params, cfg)
+        F = f_on_path(grid.taus, etas, 2, eta2, params, cfg)
         A = _log_argument(F, float(grid.taus[2]), params)
         assert eta2 < 0.0  # the near-expiry branch eta = -sqrt(-ln A)
         assert abs(eta2 * eta2 + math.log(A)) <= cfg.root_tol
@@ -199,44 +203,35 @@ class TestNodeSolve:
         self._flat_log_argument(monkeypatch, math.exp(-100.0))
         assert ssch.BRACKET_DOUBLINGS == 8
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [-20.0])
-        eta = solve_eta_at(path, float(grid.taus[2]), params)
+        eta = _solve_node(grid.taus, path(grid, [-20.0]), 2, params, QuadratureConfig())
         assert eta == pytest.approx(-10.0, abs=1e-9)
 
     def test_root_beyond_last_bracket_names_the_node(self, params, monkeypatch):
         self._flat_log_argument(monkeypatch, math.exp(-100.0))
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [-30.0])
         with pytest.raises(BracketError, match=r"node 2 \(tau=0\.004\)"):
-            solve_eta_at(path, float(grid.taus[2]), params)
+            _solve_node(grid.taus, path(grid, [-30.0]), 2, params, QuadratureConfig())
 
     def test_log_argument_never_positive_names_the_node(self, params, monkeypatch):
         self._flat_log_argument(monkeypatch, -1.0)
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [-1.0])
         with pytest.raises(LogDomainError, match=r"node 2 \(tau=0\.004\)"):
-            solve_eta_at(path, float(grid.taus[2]), params)
+            _solve_node(grid.taus, path(grid, [-1.0]), 2, params, QuadratureConfig())
 
     def test_non_finite_integrand_is_a_numerical_error(self, params):
-        path = np.full(QuadratureConfig().finite_subintervals + 1, -1.0)
-        path[17] = math.nan
+        base = np.full(QuadratureConfig().finite_subintervals + 1, -1.0)
+        base[17] = math.nan
         with pytest.raises(NumericalError, match=r"non-finite integrand .* tau=0\.5"):
-            _f_of_eta(0.5, path, 0.0, params, QuadratureConfig())(-0.5)
+            _f_of_eta(0.5, base, 0.0, params, QuadratureConfig())(-0.5)
 
     def test_log_argument_never_positive_falls_back_past_node_two(self, params, monkeypatch):
         """ln A = -inf at the extrapolated start sends a later node to the
         bracket path too, with the bracket path's error."""
         monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: -1.0)
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params, [-1.2, -1.1, -1.0])
+        etas = path(grid, [-1.2, -1.1, -1.0])
         with pytest.raises(LogDomainError, match=r"node 4 \(tau=0\.016\): no sign change"):
-            solve_eta_at(path, float(grid.taus[4]), params)
-
-    def test_wrong_node_rejected(self, params):
-        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params)
-        with pytest.raises(DomainError):
-            solve_eta_at(path, 0.05, params)
+            _solve_node(grid.taus, etas, 4, params, QuadratureConfig())
 
 
 class TestBoundarySolve:
@@ -248,29 +243,23 @@ class TestBoundarySolve:
         curve = solve_boundary(params, 0.1, 100)
         assert curve.value(0.1) == pytest.approx(86.762, abs=0.05)
 
-    def test_sequential_locality(self, params):
-        """Re-solving node i from the truncated path reproduces it bit for bit:
-        values depend only on the earlier history."""
+    def test_sequential_locality(self, params, monkeypatch):
+        """Re-solving node i with every later value NaN reproduces the full
+        solve's eta_i bit for bit: values depend only on the earlier history."""
         cfg = SMOKE
-        grid = build_mesh(0.04, 6, MeshKind.QUADRATIC, params)
-        path = EtaPath(grid, params)
-        for i in range(1, 7):
-            path.append(solve_eta_at(path, float(grid.taus[i]), params, cfg))
-        full = list(path.etas)
-        for i in (2, 4):
-            partial = EtaPath(grid, params, full[: i - 1])
-            again = solve_eta_at(partial, float(grid.taus[i]), params, cfg)
-            assert again == full[i - 1]
+        nodes = _spy_on_nodes(monkeypatch)
+        curve = solve_boundary(params, 0.04, 6, cfg=cfg)
+        full = nodes[-1][1].copy()  # the solve's own array, complete once it returns
+        assert np.all(np.isfinite(full[1:]))
+        for i in (2, 4, 6):
+            truncated = full.copy()
+            truncated[i:] = math.nan
+            assert _solve_node(curve.grid.taus, truncated, i, params, cfg) == full[i]
 
     def test_non_finite_integrand_names_the_node(self, params, monkeypatch):
         """A NaN in the sampled path (here from the small-tau formula on
         (0, tau_1)) stops the solve at the first node that integrates it."""
-        closed = ssch.eta_lowest_order
-
-        def nan_on_arrays(tau, p):
-            return np.full(np.shape(tau), math.nan) if np.ndim(tau) else closed(tau, p)
-
-        monkeypatch.setattr(ssch, "eta_lowest_order", nan_on_arrays)
+        monkeypatch.setattr(ssch, "_eta", lambda t, p, xp: np.full(np.shape(t), math.nan))
         with pytest.raises(NumericalError, match=r"failed at node 2: non-finite integrand"):
             solve_boundary(params, 0.1, 20, cfg=SMOKE)
 
