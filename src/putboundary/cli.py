@@ -138,8 +138,7 @@ def _parse_taus(spec: str, parser: _Parser):
 def _solver_curve(method: str, p: MarketParams, T: float, args):
     if method == "ssch":
         m = args.m if args.m is not None else (100 if T <= 1.0 else 200)
-        mesh = MeshKind.QUADRATIC if args.mesh == "quadratic" else MeshKind.UNIFORM
-        return solve_boundary(p, T, m, mesh)
+        return solve_boundary(p, T, m, MeshKind(args.mesh))
     cfg = PsorConfig(
         n=args.n,
         m=args.m if args.m is not None else 1000,
@@ -151,8 +150,9 @@ def _solver_curve(method: str, p: MarketParams, T: float, args):
 
 
 def _method_evaluator(method: str, p: MarketParams, T: float, args):
-    """Callable tau -> rho; solver methods are solved once up front.  The
-    zhu callable also takes an array of taus."""
+    """Callable tau -> rho; solver methods are solved once up front and
+    return their BoundaryCurve.  The zhu callable and the curves also take
+    an array of taus."""
     if method in CLOSED_FORMS:
         fn = CLOSED_FORMS[method]
         return lambda tau: p.strike if tau == 0.0 else fn(tau, p)
@@ -164,16 +164,18 @@ def _method_evaluator(method: str, p: MarketParams, T: float, args):
             return float(rho) if rho.ndim == 0 else rho
 
         return zhu
-    curve = _solver_curve(method, p, T, args)
-    return lambda tau: float(curve.value(tau))
+    return _solver_curve(method, p, T, args)
 
 
 def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SystemExit(_PARSER.exit_with_usage(f"cannot write --out {out}: {exc.strerror}"))
 
 
 def cmd_boundary(args, parser: _Parser) -> int:
@@ -334,6 +336,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        for flag in ("precision", "points", "m", "n"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise SystemExit(_PARSER.exit_with_usage(f"--{flag} must be >= 0, got {value}"))
         return _COMMANDS[args.command](args, _PARSER)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -77,6 +77,8 @@ class MarketParams:
             raise DomainError(f"risk-free rate must be positive, got {self.r}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise DomainError(f"volatility must be positive, got {self.sigma}")
+        if not self.sigma**2 > 0:
+            raise DomainError(f"volatility {self.sigma} too small: sigma^2 underflows to 0")
         if not (self.strike > 0 and math.isfinite(self.strike)):
             raise DomainError(f"strike must be positive, got {self.strike}")
 
@@ -168,12 +170,10 @@ class QuadratureConfig:
 
     finite_subintervals must be a multiple of 4 because the composite rule
     consumes panels of four subintervals (closed five-point Newton-Cotes);
-    the integral formula uses it as its node count.  semi_inf_truncation is
-    the least upper limit substituted for infinity in that formula.
+    the integral formula uses it as its node count.
     """
 
     finite_subintervals: int = 1000
-    semi_inf_truncation: float = 50.0
     root_tol: float = 1e-10
     max_iter: int = 200
 
@@ -182,8 +182,6 @@ class QuadratureConfig:
             raise DomainError(
                 f"finite_subintervals must be >= 4 and divisible by 4, got {self.finite_subintervals}"
             )
-        if not self.semi_inf_truncation > 0:
-            raise DomainError("semi_inf_truncation must be positive")
         if not (self.root_tol > 0 and self.max_iter > 0):
             raise DomainError("tolerances and iteration caps must be positive")
 
@@ -192,23 +190,18 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function.
-
-    Saturates cleanly to 0/1 for large |x|; absolute error is a few ulp,
-    well inside the 1e-12 budget the pricing formulas assume.
-    """
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 _erfc_ufunc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def norm_cdf_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised normal CDF for quadrature integrands, elementwise equal
-    to norm_cdf: math.erfc applied by a ufunc, with no Python frame per
-    element."""
-    return 0.5 * _erfc_ufunc(-np.asarray(x, dtype=float) / _SQRT2).astype(float)
+def norm_cdf(x):
+    """Standard normal CDF via math.erfc: a float for a float (or int), and
+    for an array the same values elementwise, by a ufunc with no Python
+    frame per element.  Saturates cleanly to 0/1 for large |x|; absolute
+    error is a few ulp, inside the 1e-12 budget the pricing formulas assume.
+    """
+    if isinstance(x, (float, int)):
+        return 0.5 * math.erfc(-x / _SQRT2)
+    return 0.5 * np.asarray(_erfc_ufunc(-np.asarray(x, dtype=float) / _SQRT2), dtype=float)
 
 
 def _boole_weights(n: int) -> np.ndarray:

@@ -37,7 +37,6 @@ from .core import (
     _boole_weights,
     _eval_on_nodes,
     norm_cdf,
-    norm_cdf_array,
 )
 
 __all__ = [
@@ -82,7 +81,7 @@ def price_gap_at_boundary(
     price_gap_full at S = rho(tau)."""
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    rho_tau = float(np.asarray(rho(tau), dtype=float))
+    rho_tau = float(rho(tau))
     return price_gap_full(rho, rho_app, rho_tau, tau, p, cfg)
 
 
@@ -123,7 +122,7 @@ def price_gap_full(
     with np.errstate(divide="ignore", invalid="ignore"):
         g_app = (np.log(S / r_app) + drift * s * s) / (p.sigma * s)
         g_true = (np.log(S / r_true) + drift * s * s) / (p.sigma * s)
-    vals = 2.0 * s * np.exp(-p.r * s * s) * np.abs(norm_cdf_array(g_app) - norm_cdf_array(g_true))
+    vals = 2.0 * s * np.exp(-p.r * s * s) * np.abs(norm_cdf(g_app) - norm_cdf(g_true))
     vals[0] = 0.0  # integrand vanishes like s at the substituted endpoint
     w = _boole_weights(n) * (2.0 * (smax / n) / 45.0)
     return p.r * p.strike * float(np.dot(w, vals))
@@ -144,7 +143,7 @@ def mispricing_err(
     """
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    rho_tau = float(np.asarray(rho(tau), dtype=float))
+    rho_tau = float(rho(tau))
     denom = (p.strike - rho_tau) - european_put(rho_tau, tau, p)
     if denom <= 1e-14 * p.strike:
         raise DegenerateDenominatorError(
@@ -155,8 +154,8 @@ def mispricing_err(
 
 def boundary_rel_err(rho, rho_app, tau: float) -> float:
     """Signed relative boundary gap (rho - rho_app)/rho at one tau."""
-    rho_tau = float(np.asarray(rho(tau), dtype=float))
-    app_tau = float(np.asarray(rho_app(tau), dtype=float))
+    rho_tau = float(rho(tau))
+    app_tau = float(rho_app(tau))
     if not rho_tau > 0:
         raise DomainError(f"benchmark boundary must be positive, got {rho_tau}")
     return (rho_tau - app_tau) / rho_tau

@@ -57,11 +57,11 @@ class PsorConfig:
     """Grid for the benchmark solve.
 
     x-nodes run over [-L, L] with spacing h = L/n (2n+1 nodes), time levels
-    over [0, T] with step k = T/m.  contact_tol is the detachment threshold
-    (relative to the strike) used by the boundary extraction.  omega (in
-    (0, 2)) and tol (positive) are the relaxation factor and stopping rule
-    of projected SOR; they are still validated, but the exact step does not
-    use them, so they no longer affect the result.
+    over [0, T] with step k = T/m; L and T must be positive and finite, and
+    h^2 must not underflow.  omega (in (0, 2)) and tol (positive) are the
+    relaxation factor and stopping rule of projected SOR; they are still
+    validated, but the exact step does not use them, so they no longer
+    affect the result.
     """
 
     n: int
@@ -70,16 +70,17 @@ class PsorConfig:
     L: float = 2.5
     omega: float = 1.5
     tol: float = 1e-10
-    contact_tol: float = 1e-8
 
     def __post_init__(self):
         if self.n < 2 or self.m < 1:
             raise DomainError(f"grid too small: n={self.n}, m={self.m}")
-        if not (self.L > 0 and self.T > 0):
-            raise DomainError("L and T must be positive")
+        if not (0 < self.L < math.inf and 0 < self.T < math.inf):
+            raise DomainError(f"L and T must be positive and finite, got L={self.L}, T={self.T}")
+        if not self.h * self.h >= np.finfo(float).tiny:
+            raise DomainError(f"step h = L/n = {self.h:g} too small: h^2 underflows")
         if not 0.0 < self.omega < 2.0:
             raise DomainError(f"omega must lie in (0, 2), got {self.omega}")
-        if not (self.tol > 0 and self.contact_tol > 0):
+        if not self.tol > 0:
             raise DomainError("tolerances must be positive")
 
     @property
@@ -271,7 +272,7 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     return PsorSolution(U.T, cfg, p, alpha)
 
 
-def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> BoundaryCurve:
+def extract_boundary(sol: PsorSolution, contact_tol: float = 1e-8) -> BoundaryCurve:
     """Exercise boundary per time level: the largest price still on the payoff.
 
     The exercise region is the connected interval starting at the left edge,
@@ -282,13 +283,14 @@ def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> Bou
     the exercise region (NoContactError, at the first such level).  The gaps
     of all levels are one array, u e^{-alpha x} - payoff, built in place.
     """
-    ct = contact_tol if contact_tol is not None else sol.config.contact_tol
+    if not contact_tol > 0:
+        raise DomainError(f"contact_tol must be positive, got {contact_tol}")
     x = sol.x
     taus = sol.taus
     E = sol.params.strike
     gap = sol.u[:, 1:].T * np.exp(-sol.alpha * x)
     gap -= sol.payoff_rel()
-    detached = gap > ct
+    detached = gap > contact_tol
     ifd = detached.argmax(axis=1)
     detaches = detached.any(axis=1)
     edge = detaches & (ifd <= 1)
@@ -304,7 +306,7 @@ def extract_boundary(sol: PsorSolution, contact_tol: float | None = None) -> Bou
     ifd = ifd[rows]
     ic = ifd - 1
     g0, g1 = gap[rows, ic], gap[rows, ifd]
-    frac = (ct - g0) / (g1 - g0)
+    frac = (contact_tol - g0) / (g1 - g0)
     xf = x[ic] + frac * (x[ifd] - x[ic])
     rhos = np.full(taus.size, E, dtype=float)
     rhos[rows + 1] = [E * math.exp(v) for v in xf.tolist()]

@@ -15,7 +15,8 @@ where eta solves, for every tau,
 Near expiry eta is negative, eta = -sqrt(-ln A); the equation is solved in
 this sign-free form so that the path can cross eta = 0, which it does at
 long horizons when gamma = 2r/sigma^2 > 1 (rho then falls below
-E e^{-(r - sigma^2/2) tau}).
+E e^{-(r - sigma^2/2) tau}).  ln A = ln(r sqrt(2 pi tau)/sigma) + r tau
++ ln(1 - F/sqrt(pi)) is summed in log space, so e^{r tau} never overflows.
 F and G only look backwards: their value at tau depends on eta on [0, tau]
 alone, so the unknowns eta(tau_1), ..., eta(tau_m) can be solved one node
 at a time.  solve_boundary keeps them in one array and solves node i by
@@ -184,12 +185,14 @@ def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig)
     return F
 
 
-def _log_argument(F: float, tau_i: float, p: MarketParams) -> float:
-    return (
-        (p.r * math.sqrt(2.0 * math.pi * tau_i) / p.sigma)
-        * math.exp(p.r * tau_i)
-        * (1.0 - F / math.sqrt(math.pi))
-    )
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _log_a(F: float, log_c: float) -> float:
+    """ln A = log_c + ln(1 - F/sqrt(pi)) for the node's log_c =
+    ln(r sqrt(2 pi tau_i)/sigma) + r tau_i; -inf where F >= sqrt(pi)."""
+    x = 1.0 - F / _SQRT_PI
+    return log_c + math.log(x) if x > 0.0 else -math.inf
 
 
 def _newton(h_and_slope, eta: float, tol: float) -> float | None:
@@ -231,19 +234,17 @@ def _solve_node(
     tau_i = float(taus[i])
     st = _theta_nodes(cfg.finite_subintervals)[0]
     F = _f_of_eta(tau_i, *_sample(taus, etas, i, tau_i * st * st, p), p, cfg)
-
-    sqrt_pi = math.sqrt(math.pi)
+    log_c = _log_eta_argument(tau_i, p) - math.log(2.0)
 
     @functools.cache
     def h_and_slope(eta: float) -> tuple[float, float]:
-        """H(eta) = eta^2 + ln A(eta), extended by -inf where A <= 0, which
-        is its limit as A falls to 0, and H'(eta); a root is a solution
-        e^{-eta^2} = A of either sign."""
+        """H(eta) = eta^2 + ln A(eta), extended by -inf where A <= 0, and
+        H'(eta); a root is a solution e^{-eta^2} = A of either sign."""
         f, df = F(eta)
-        A = _log_argument(f, tau_i, p)
-        if not A > 0.0:
+        log_a = _log_a(f, log_c)
+        if log_a == -math.inf:
             return -math.inf, math.nan
-        return eta * eta + math.log(A), 2.0 * eta - df / (sqrt_pi - f)
+        return eta * eta + log_a, 2.0 * eta - df / (_SQRT_PI - f)
 
     prev = float(etas[i - 1])
     start = 2.0 * prev - float(etas[i - 2]) if i > 2 else prev

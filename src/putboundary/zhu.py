@@ -99,13 +99,12 @@ def _tabulated_kernel(p: MarketParams, cfg: QuadratureConfig, z_gauss: float, po
     tabulated once per market and grid: the weighted kernel row
     zeta (a^2+zeta^2)^(power-1) e^{-f1} sin f2 * zeta h, the exponents
     a^2+zeta^2 of the damping (the last one at the tail probe 1.1 Z), the
-    last node Z and the kernel at Z and at the probe.  The arrays are
-    read-only, because every call with the same arguments shares them.  A
-    non-finite kernel raises QuadratureNodeError, which is not cached.
+    last node Z = z_gauss and the kernel at Z and at the probe.  The arrays
+    are read-only, because every call with the same arguments shares them.
+    A non-finite kernel raises QuadratureNodeError, which is not cached.
     """
-    z_max = max(cfg.semi_inf_truncation, z_gauss)
     s, h = np.linspace(
-        math.log(_ZETA_MIN), math.log(z_max), cfg.finite_subintervals, retstep=True
+        math.log(_ZETA_MIN), math.log(z_gauss), cfg.finite_subintervals, retstep=True
     )
     zeta = np.exp(s)
     zeta = np.append(zeta, 1.1 * zeta[-1])  # the last node Z and the tail probe
@@ -130,10 +129,9 @@ def _damped_integral(
     e^{-f1} sin f2 dzeta for each tau, by the trapezoid rule in s = ln zeta.
 
     The integrand is analytic and decays at both ends in s, so the rule
-    converges exponentially in the node count.  The grid runs to
-    Z = max(cfg.semi_inf_truncation, z_gauss) whatever tau is: the kernel is
-    tabulated once per market (_tabulated_kernel) and each tau costs one
-    damping row and one row sum.
+    converges exponentially in the node count.  The grid runs to Z = z_gauss
+    whatever tau is: the kernel is tabulated once per market
+    (_tabulated_kernel) and each tau costs one damping row and one row sum.
     """
     kernel, q, z, g_near, g_far = _tabulated_kernel(p, cfg, z_gauss, power)
     damp = np.exp(np.multiply.outer(-0.5 * p.sigma**2 * taus, q))
@@ -146,10 +144,10 @@ def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
     elementwise on an array of taus.
 
     The integral is the trapezoid rule in s = ln zeta on cfg.finite_subintervals
-    nodes from zeta = 1e-6 to max(cfg.semi_inf_truncation,
-    8/(sigma sqrt(SMALL_TAU_CUTOFF))).  The grid does not depend on tau, so
-    the cost is flat in tau and a scalar call equals its element of an array
-    call bit for bit.  For tau below SMALL_TAU_CUTOFF the Gaussian damping
+    nodes from zeta = 1e-6 to 8/(sigma sqrt(SMALL_TAU_CUTOFF)), where the
+    damping of the smallest integrated tau is e^-32.  The grid does not
+    depend on tau, so the cost is flat in tau and a scalar call equals its
+    element of an array call bit for bit.  For tau below SMALL_TAU_CUTOFF the Gaussian damping
     would outrun that grid, so the exact small-tau asymptote is substituted
     in those elements and one SmallTauSubstitution warning flags them.
     Raises DomainError for any tau <= 0, NaN or inf and TailTooHeavyError
@@ -201,14 +199,18 @@ def zhu_second_derivative(
     return (2.0 * p.strike * p.sigma**4 / (4.0 * math.pi)) * integral
 
 
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
 def f2_max(gamma: float, cfg: QuadratureConfig | None = None) -> float:
     """Maximum of f2(zeta; gamma) over zeta > 0.
 
-    Coarse logarithmic scan (512 points across [1e-6, 1e6]) brackets the
-    peak, then golden-section search tightens it to root_tol.
+    A coarse logarithmic scan (512 points across [1e-6, 1e6]) brackets the
+    peak, and the bracketed root finder finds the zero of the log-slope
+
+        g = zeta f2'/f2 = zeta N'/N - 2 zeta^2/(b^2 + zeta^2),
+        N = zeta lg - b arctan(zeta/a),  N' = lg + (zeta^2 - ab)/(a^2 + zeta^2),
+
+    with lg = ln(sqrt(a^2 + zeta^2)/gamma).  g is scale-free, so the root
+    finder's absolute stop |g| <= root_tol/2 means the same at every gamma;
+    on the plain slope f2' it stops short of the broad peaks of large gamma.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise DomainError(f"gamma must be positive, got {gamma}")
@@ -216,28 +218,17 @@ def f2_max(gamma: float, cfg: QuadratureConfig | None = None) -> float:
     # 2 * (gamma/2) / 1^2 == gamma exactly, so the kernels see this gamma
     p = MarketParams(r=0.5 * gamma, sigma=1.0, strike=1.0)
     zs = np.geomspace(1e-6, 1e6, 512)
-    vals = zhu_kernels(zs, p)[1]
-    i = int(np.argmax(vals))
-    lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, zs.size - 1)]
+    i = int(np.argmax(zhu_kernels(zs, p)[1]))
+    a, b = p.a, p.b
 
-    def f2_at(z: float) -> float:
-        return zhu_kernels(z, p)[1]
+    def log_slope(z: float) -> float:
+        q = a * a + z * z
+        lg = math.log(math.sqrt(q) / p.gamma)
+        n = z * lg - b * math.atan(z / a)
+        return z * (lg + (z * z - a * b) / q) / n - 2.0 * z * z / (b * b + z * z)
 
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f2_at(c), f2_at(d)
-    while b - a > cfg.root_tol * max(1.0, abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f2_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f2_at(d)
-    return f2_at(0.5 * (a + b))
+    lo, hi = float(zs[max(i - 1, 0)]), float(zs[min(i + 1, zs.size - 1)])
+    return zhu_kernels(find_root_bracketed(log_slope, lo, hi, cfg), p)[1]
 
 
 def gamma_critical(cfg: QuadratureConfig | None = None) -> float:

@@ -238,10 +238,14 @@ def _integrate_semi_infinite_nc(f, z: float, n: int, cfg, block: int = 1 << 18) 
     return result
 
 
+#: least upper limit substituted for infinity in the Newton-Cotes reference
+_ZHU_NC_TRUNCATION = 50.0
+
+
 def _zhu_nc_grid(p, tau: float, cfg, sigmas: float):
     # Gaussian damping reaches e^(-sigmas^2/2) at Z = sigmas/(sigma sqrt(tau));
     # resolve the peak near zeta ~ a with a fixed step of 0.02
-    z = max(cfg.semi_inf_truncation, sigmas / (p.sigma * math.sqrt(tau)))
+    z = max(_ZHU_NC_TRUNCATION, sigmas / (p.sigma * math.sqrt(tau)))
     n = max(cfg.finite_subintervals, 4 * math.ceil(z / (4.0 * 0.02)))
     return z, n
 
@@ -373,10 +377,11 @@ def ssch_bracket_eta_at(taus, etas, i, p, cfg) -> float:
     st = ssch._theta_nodes(cfg.finite_subintervals)[0]
     F = ssch._f_of_eta(tau_i, *ssch._sample(taus, etas, i, tau_i * st * st, p), p, cfg)
 
+    log_c = ssch._log_eta_argument(tau_i, p) - math.log(2.0)
+
     @functools.cache
     def H(eta):
-        A = ssch._log_argument(F(eta)[0], tau_i, p)
-        return eta * eta + math.log(A) if A > 0.0 else -math.inf
+        return eta * eta + ssch._log_a(F(eta)[0], log_c)
 
     prev = float(etas[i - 1])
     for doublings in range(ssch.BRACKET_DOUBLINGS + 1):
@@ -410,7 +415,7 @@ def ssch_bracket_boundary(p, T: float, m: int, cfg=None) -> np.ndarray:
     return np.concatenate(([p.strike], rhos))
 
 
-def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
+def psor_extract_levels(sol, contact_tol=1e-8) -> np.ndarray:
     """rho at every time level of a psor solution, one level at a time:
     the gap u[:, j] e^{-alpha x} - payoff, the first node detached by more than
     contact_tol and linear interpolation of the gap across the cell before
@@ -419,7 +424,6 @@ def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
     region stops at the pinned edge node."""
     from putboundary.psor import NoContactError
 
-    ct = contact_tol if contact_tol is not None else sol.config.contact_tol
     x = sol.x
     payoff = sol.payoff_rel()
     E = sol.params.strike
@@ -427,7 +431,7 @@ def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
     rhos[0] = E
     for j in range(1, sol.taus.size):
         gap = sol.u[:, j] * np.exp(-sol.alpha * x) - payoff
-        detached = gap > ct
+        detached = gap > contact_tol
         if not detached.any():
             rhos[j] = E
             continue
@@ -440,6 +444,6 @@ def psor_extract_levels(sol, contact_tol=None) -> np.ndarray:
             )
         ic = ifd - 1
         g0, g1 = float(gap[ic]), float(gap[ifd])
-        xf = x[ic] + (ct - g0) / (g1 - g0) * (x[ifd] - x[ic])
+        xf = x[ic] + (contact_tol - g0) / (g1 - g0) * (x[ifd] - x[ic])
         rhos[j] = E * math.exp(xf)
     return rhos

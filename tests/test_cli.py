@@ -434,6 +434,34 @@ def run_module(*argv, hash_seed=None):
     )
 
 
+#: out-of-range flags (usage errors, 64) and degenerate markets or grids
+#: (domain errors, 2)
+NO_TRACEBACK_ARGV = [
+    (("boundary", "--method", "kk", "--tau", "1e-3", "--precision", "-1"), EXIT_USAGE),
+    (("mispricing", "--method", "kk", "--points", "-1"), EXIT_USAGE),
+    (("boundary", "--method", "kk", "--T", "1e-3", "--m", "-3"), EXIT_USAGE),
+    (("boundary", "--method", "kk", "--tau", "1e-3", "--out", "/nonexistent/x.csv"), EXIT_USAGE),
+    (("boundary", "--method", "zhu", "--sigma", "1e-200", "--tau", "1e-3"), EXIT_DOMAIN),
+    (("boundary", "--method", "psor", "--T", "1", "--n", "20", "--m", "20", "--L", "1e-300"),
+     EXIT_DOMAIN),
+    (("boundary", "--method", "psor", "--T", "inf", "--n", "20", "--m", "20"), EXIT_DOMAIN),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", NO_TRACEBACK_ARGV, ids=[" ".join(a) for a, _ in NO_TRACEBACK_ARGV]
+)
+def test_bad_input_is_one_typed_line(argv, code):
+    """Each fails with its exit code, nothing on stdout and one typed
+    stderr line last, in a fresh process: no traceback, no warning."""
+    run = run_module(*argv)
+    assert (run.returncode, run.stdout) == (code, "")
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+    kind = "error" if code == EXIT_USAGE else "domain error"
+    last = run.stderr.splitlines()[-1]
+    assert last.startswith(f"putboundary: {kind}: ") and run.stderr.count("\n") == 1
+
+
 class TestEntryPoint:
     """The `if __name__ == "__main__"` path: exit codes reach the shell."""
 

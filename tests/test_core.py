@@ -18,7 +18,6 @@ from putboundary import (
     find_root_bracketed,
     norm_cdf,
 )
-from putboundary.core import norm_cdf_array
 
 import oracles
 
@@ -51,9 +50,10 @@ class TestNormCdf:
         x = np.concatenate(
             [np.linspace(-40.0, 40.0, 4001), [40.0, -40.0, np.inf, -np.inf, np.nan, -0.0, 1e-300]]
         )
-        got = norm_cdf_array(x)
-        want = np.array([norm_cdf(v) for v in x])
-        assert got.dtype == np.float64
+        got = norm_cdf(x)
+        want = np.array([norm_cdf(float(v)) for v in x])
+        assert type(norm_cdf(float(x[0]))) is float
+        assert got.dtype == np.float64 and got.shape == x.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

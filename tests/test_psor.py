@@ -354,7 +354,7 @@ class TestOnePassExtraction:
         for gamma in (0.6, 1.0, 3.0, 6.0):
             p = MarketParams(r=0.5 * gamma * 0.3**2, sigma=0.3, strike=100.0)
             sol = psor_solve(p, cfg)
-            for ct in (None, 1e-6):
+            for ct in (1e-8, 1e-6):
                 try:
                     want = oracles.psor_extract_levels(sol, ct)
                 except NoContactError as exc:

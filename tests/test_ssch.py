@@ -19,7 +19,8 @@ from putboundary import (
     solve_boundary,
 )
 from putboundary import ssch
-from putboundary.ssch import _f_of_eta, _log_argument, _newton, _sample, _solve_node, _theta_nodes
+from putboundary.asymptotics import _log_eta_argument
+from putboundary.ssch import _f_of_eta, _log_a, _newton, _sample, _solve_node, _theta_nodes
 
 import oracles
 
@@ -184,16 +185,32 @@ class TestNodeSolve:
         etas = path(grid, [eta_lowest_order(grid.taus[1], params)])
         eta2 = _solve_node(grid.taus, etas, 2, params, cfg)
         F = f_on_path(grid.taus, etas, 2, eta2, params, cfg)
-        A = _log_argument(F, float(grid.taus[2]), params)
+        log_a = _log_a(F, _log_eta_argument(float(grid.taus[2]), params) - math.log(2.0))
         assert eta2 < 0.0  # the near-expiry branch eta = -sqrt(-ln A)
-        assert abs(eta2 * eta2 + math.log(A)) <= cfg.root_tol
+        assert abs(eta2 * eta2 + log_a) <= cfg.root_tol
+
+    def test_log_a_matches_linear_space_argument(self, params):
+        """ln A in log space equals the log of
+        A = (r sqrt(2 pi tau)/sigma) e^{r tau} (1 - F/sqrt(pi)) where that
+        does not overflow, and is -inf where F >= sqrt(pi)."""
+        for tau, F in ((0.004, -0.8), (1.0, 0.3), (50.0, 1.7)):
+            A = (
+                (params.r * math.sqrt(2.0 * math.pi * tau) / params.sigma)
+                * math.exp(params.r * tau)
+                * (1.0 - F / math.sqrt(math.pi))
+            )
+            log_c = _log_eta_argument(tau, params) - math.log(2.0)
+            assert _log_a(F, log_c) == pytest.approx(math.log(A), rel=1e-14, abs=1e-14)
+        assert _log_a(math.sqrt(math.pi), 0.0) == -math.inf
+        assert _log_a(2.0, 0.0) == -math.inf
 
     @staticmethod
     def _flat_log_argument(monkeypatch, A):
-        """H(eta) = eta^2 + ln A, whatever F is.  H' then no longer follows
-        from F', so the Newton steps are switched off and the bracket path
-        solves."""
-        monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: A)
+        """H(eta) = eta^2 + ln A, whatever F is, with ln A = -inf for
+        A <= 0.  H' then no longer follows from F', so the Newton steps are
+        switched off and the bracket path solves."""
+        log_a = math.log(A) if A > 0.0 else -math.inf
+        monkeypatch.setattr(ssch, "_log_a", lambda F, log_c: log_a)
         monkeypatch.setattr(ssch, "_NEWTON_STEPS", 0)
 
     def test_root_in_last_widened_bracket(self, params, monkeypatch):
@@ -218,6 +235,15 @@ class TestNodeSolve:
         with pytest.raises(LogDomainError, match=r"node 2 \(tau=0\.004\)"):
             _solve_node(grid.taus, path(grid, [-1.0]), 2, params, QuadratureConfig())
 
+    def test_overflowing_growth_factor_is_typed_and_names_the_node(self, params):
+        """r tau_i = 720 > 709: e^{r tau_i} overflows a float, but ln A is
+        summed in log space, so the node fails as a typed NumericalError
+        that names it rather than an OverflowError."""
+        taus = np.array([0.0, 1e-4, 7200.0])
+        etas = np.array([math.nan, eta_lowest_order(1e-4, params), math.nan])
+        with pytest.raises(NumericalError, match=r"node 2 \(tau=7200\)"):
+            _solve_node(taus, etas, 2, params, QuadratureConfig())
+
     def test_non_finite_integrand_is_a_numerical_error(self, params):
         base = np.full(QuadratureConfig().finite_subintervals + 1, -1.0)
         base[17] = math.nan
@@ -227,7 +253,7 @@ class TestNodeSolve:
     def test_log_argument_never_positive_falls_back_past_node_two(self, params, monkeypatch):
         """ln A = -inf at the extrapolated start sends a later node to the
         bracket path too, with the bracket path's error."""
-        monkeypatch.setattr(ssch, "_log_argument", lambda F, tau_i, p: -1.0)
+        monkeypatch.setattr(ssch, "_log_a", lambda F, log_c: -math.inf)
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
         etas = path(grid, [-1.2, -1.1, -1.0])
         with pytest.raises(LogDomainError, match=r"node 4 \(tau=0\.016\): no sign change"):

@@ -17,7 +17,7 @@ from putboundary import (
     zhu_kernels,
     zhu_second_derivative,
 )
-from putboundary.zhu import SMALL_TAU_CUTOFF, _tabulated_kernel
+from putboundary.zhu import SMALL_TAU_CUTOFF, _damped_integral, _tabulated_kernel
 
 import oracles
 
@@ -103,14 +103,13 @@ class TestBoundary:
         assert v == rho_zhu_asymptote(1e-7, params)
 
     def test_truncation_doubling_invariance(self, params):
-        # the grid ends at the larger of the truncation and the Gaussian cutoff
-        # of the smallest integrated tau, so doubling it moves every node
-        tau = 0.01
-        base = QuadratureConfig()
-        z = max(base.semi_inf_truncation, 8.0 / (params.sigma * math.sqrt(SMALL_TAU_CUTOFF)))
-        a = rho_zhu(tau, params, QuadratureConfig(semi_inf_truncation=z))
-        b = rho_zhu(tau, params, QuadratureConfig(semi_inf_truncation=2 * z))
-        assert abs(a - b) < 1e-8 * params.strike
+        # rho_zhu's grid ends at the Gaussian cutoff of the smallest
+        # integrated tau; doubling that end moves every node
+        tau = np.array([0.01])
+        z = 8.0 / (params.sigma * math.sqrt(SMALL_TAU_CUTOFF))
+        a = _damped_integral(tau, params, QuadratureConfig(), z, power=0)[0]
+        b = _damped_integral(tau, params, QuadratureConfig(), 2 * z, power=0)[0]
+        assert (2.0 * params.strike / math.pi) * abs(a - b) < 1e-8 * params.strike
 
     def test_monotone_decreasing_and_convex(self, params):
         taus = [0.01 * k for k in range(1, 101)]
@@ -157,6 +156,18 @@ class TestSecondDerivative:
             )
 
 
+#: max over zeta of f2 at gamma = 10^(k/2), k = -10..10, by golden-section
+#: search to a bracket of 1e-10 relative after the 512-point log scan
+F2_PEAKS = [
+    10.412828117975296, 9.265988411266106, 8.12081422475118, 6.978616673703713,
+    5.842244118014562, 4.718041944832473, 3.6199627704491193, 2.57697622910475,
+    1.6425220047396223, 0.8950207473559594, 0.4023711712747059, 0.1519027124207115,
+    0.05155464578079292, 0.016707603381960198, 0.005325860548199301,
+    0.0016884972457684192, 0.000534383100186469, 0.0001690301815970224,
+    5.345637965883442e-05, 1.69048258821479e-05, 5.34581876212596e-06,
+]
+
+
 class TestCriticalGamma:
     def test_peak_at_critical_value(self):
         assert f2_max(0.0167821) == pytest.approx(math.pi, abs=1e-3)
@@ -170,6 +181,16 @@ class TestCriticalGamma:
         want = oracles.dense_scan_f2_max(params.gamma)
         assert got == pytest.approx(want, abs=1e-6)
         assert got >= want - 1e-12  # scan can only undershoot the true max
+
+    def test_matches_golden_section_peaks(self):
+        """f2_max at gamma = 10^(k/2), k = -10..10, against the peaks an
+        exhaustive golden-section search of f2 gave: within 1e-13 relative
+        and never below by more.  A search that stops early on a broad
+        peak (large gamma) lands below it."""
+        for k, want in zip(range(-10, 11), F2_PEAKS):
+            got = f2_max(10.0 ** (k / 2))
+            assert abs(got - want) <= 1e-13 * want, k
+            assert got >= want * (1.0 - 1e-13), k
 
     def test_critical_gamma_value(self):
         g0 = gamma_critical()
