@@ -36,16 +36,17 @@ SOLVER_METHODS = ("ssch", "psor")
 ALL_METHODS = tuple(CLOSED_FORMS) + ("zhu",) + SOLVER_METHODS
 
 
+class _UsageError(Exception):
+    """A bad command line: main prints `putboundary: error: <message>` and
+    exits with the usage code 64."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with the scripting code 64."""
+    """argparse variant whose own usage failures exit with the code 64."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _add_market_args(sp):
@@ -54,14 +55,23 @@ def _add_market_args(sp):
     sp.add_argument("--sigma", type=float, default=0.3, help="volatility (default 0.3)")
 
 
+def _add_grid_args(sp, n: int, L: float, omega: float):
+    sp.add_argument("--m", type=int, default=None, help="mesh / time-step count")
+    sp.add_argument("--n", type=int, default=n, help="spatial half-count (psor)")
+    sp.add_argument("--L", type=float, default=L, help="log-price half-width (psor)")
+    sp.add_argument(
+        "--omega",
+        type=float,
+        default=omega,
+        help="SOR relaxation in (0, 2); validated, no longer affects the result (psor)",
+    )
+
+
 def _add_output_args(sp):
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sp.add_argument(
         "--precision", type=int, default=6, help="significant digits (default 6)"
     )
-
-
-_OMEGA_HELP = "SOR relaxation in (0, 2); validated, no longer affects the result (psor)"
 
 
 def build_parser() -> _Parser:
@@ -74,10 +84,7 @@ def build_parser() -> _Parser:
     b.add_argument("--tau", default=None, help="comma-separated times to maturity")
     b.add_argument("--T", type=float, default=None, help="horizon for solver methods")
     b.add_argument("--mesh", choices=("uniform", "quadratic"), default="quadratic")
-    b.add_argument("--m", type=int, default=None, help="mesh / time-step count")
-    b.add_argument("--n", type=int, default=1000, help="spatial half-count (psor)")
-    b.add_argument("--L", type=float, default=2.5, help="log-price half-width (psor)")
-    b.add_argument("--omega", type=float, default=1.5, help=_OMEGA_HELP)
+    _add_grid_args(b, n=1000, L=2.5, omega=1.5)
     _add_output_args(b)
 
     c = sub.add_parser("compare", help="several methods side by side")
@@ -86,10 +93,7 @@ def build_parser() -> _Parser:
     _add_market_args(c)
     c.add_argument("--tau", required=True, help="comma-separated times to maturity")
     c.add_argument("--mesh", choices=("uniform", "quadratic"), default="quadratic")
-    c.add_argument("--m", type=int, default=None)
-    c.add_argument("--n", type=int, default=1000)
-    c.add_argument("--L", type=float, default=2.5)
-    c.add_argument("--omega", type=float, default=1.5, help=_OMEGA_HELP)
+    _add_grid_args(c, n=1000, L=2.5, omega=1.5)
     _add_output_args(c)
 
     g = sub.add_parser("gamma0", help="convexity-threshold parameter")
@@ -108,10 +112,8 @@ def build_parser() -> _Parser:
     _add_market_args(mi)
     mi.add_argument("--T", type=float, default=0.006, help="sweep upper end (default 0.006)")
     mi.add_argument("--points", type=int, default=40, help="sweep size (default 40)")
-    mi.add_argument("--m", type=int, default=None)
-    mi.add_argument("--n", type=int, default=1200)
-    mi.add_argument("--L", type=float, default=0.06)
-    mi.add_argument("--omega", type=float, default=1.85, help=_OMEGA_HELP)
+    _add_grid_args(mi, n=1200, L=0.06, omega=1.85)
+    mi.set_defaults(mesh="quadratic")
     _add_output_args(mi)
     return ap
 
@@ -121,31 +123,34 @@ def build_parser() -> _Parser:
 _PARSER = build_parser()
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+def _fmt(value: float | None, precision: int) -> str:
+    return "n/a" if value is None else f"{value:.{precision}g}"
 
 
-def _parse_taus(spec: str, parser: _Parser):
+def _defined(f, *args):
+    """f(*args), or None (an `n/a` cell) where the formula is undefined."""
+    try:
+        return f(*args)
+    except DomainError:
+        return None
+
+
+def _parse_taus(spec: str) -> list[float]:
     try:
         taus = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        raise SystemExit(parser.exit_with_usage(f"bad --tau list: {spec!r}"))
+        taus = []
     if not taus or any(t < 0 or not math.isfinite(t) for t in taus):
-        raise SystemExit(parser.exit_with_usage(f"bad --tau list: {spec!r}"))
+        raise _UsageError(f"bad --tau list: {spec!r}")
     return taus
 
 
-def _solver_curve(method: str, p: MarketParams, T: float, args):
+def _solver_curve(method: str, p: MarketParams, T: float, args, m: int):
+    """The ssch or psor boundary over [0, T] on m steps, unless --m says otherwise."""
+    m = args.m if args.m is not None else m
     if method == "ssch":
-        m = args.m if args.m is not None else (100 if T <= 1.0 else 200)
         return solve_boundary(p, T, m, MeshKind(args.mesh))
-    cfg = PsorConfig(
-        n=args.n,
-        m=args.m if args.m is not None else 1000,
-        T=T,
-        L=args.L,
-        omega=args.omega,
-    )
+    cfg = PsorConfig(n=args.n, m=m, T=T, L=args.L, omega=args.omega)
     return extract_boundary(psor_solve(p, cfg))
 
 
@@ -164,7 +169,8 @@ def _method_evaluator(method: str, p: MarketParams, T: float, args):
             return float(rho) if rho.ndim == 0 else rho
 
         return zhu
-    return _solver_curve(method, p, T, args)
+    m = 1000 if method == "psor" else 100 if T <= 1.0 else 200
+    return _solver_curve(method, p, T, args, m)
 
 
 def _write(text: str, out: str | None):
@@ -175,99 +181,59 @@ def _write(text: str, out: str | None):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SystemExit(_PARSER.exit_with_usage(f"cannot write --out {out}: {exc.strerror}"))
+        raise _UsageError(f"cannot write --out {out}: {exc.strerror}")
 
 
-def cmd_boundary(args, parser: _Parser) -> int:
+def cmd_boundary(args) -> int:
+    if args.tau is None and args.T is None:
+        raise _UsageError(f"method {args.method} needs --T or --tau")
     p = MarketParams(r=args.r, sigma=args.sigma, strike=args.E)
-    if args.method in SOLVER_METHODS:
-        if args.T is None and args.tau is None:
-            raise SystemExit(
-                parser.exit_with_usage(f"method {args.method} needs --T or --tau")
-            )
-        taus_req = _parse_taus(args.tau, parser) if args.tau else None
-        T = args.T if args.T is not None else max(taus_req)
-        curve = _solver_curve(args.method, p, T, args)
-        if taus_req is None:
-            rows = [(float(t), float(v)) for t, v in zip(curve.grid.taus, curve.rhos)]
-        else:
-            rows = [(t, float(curve.value(t))) for t in taus_req]
-    else:
-        if args.tau is None and args.T is None:
-            raise SystemExit(parser.exit_with_usage("need --tau (or --T with --m)"))
-        if args.tau is not None:
-            taus_req = _parse_taus(args.tau, parser)
-        else:
-            m = args.m if args.m is not None else 100
-            taus_req = list(np.linspace(0.0, args.T, m + 1))
-        ev = _method_evaluator(args.method, p, args.T or 0.0, args)
-        rows = [(t, ev(t)) for t in taus_req]
-
+    taus = None if args.tau is None else _parse_taus(args.tau)
+    T = args.T if args.T is not None else max(taus)
+    ev = _method_evaluator(args.method, p, T, args)
+    if taus is None:
+        m = args.m if args.m is not None else 100
+        taus = ev.grid.taus if args.method in SOLVER_METHODS else np.linspace(0.0, T, m + 1)
     lines = ["tau,rho"]
-    for t, v in rows:
-        lines.append(f"{_fmt(t, args.precision)},{_fmt(v, args.precision)}")
+    for t in taus:
+        lines.append(f"{_fmt(t, args.precision)},{_fmt(ev(t), args.precision)}")
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_compare(args, parser: _Parser) -> int:
+def cmd_compare(args) -> int:
     methods = [tok.strip() for tok in args.method.split(",") if tok.strip()]
     if len(methods) < 2:
-        raise SystemExit(parser.exit_with_usage("compare needs at least two methods"))
+        raise _UsageError("compare needs at least two methods")
     for mname in methods:
         if mname not in ALL_METHODS:
-            raise SystemExit(parser.exit_with_usage(f"unknown method {mname!r}"))
-    bench = args.benchmark
-    if bench not in methods:
-        raise SystemExit(
-            parser.exit_with_usage(f"benchmark {bench!r} not among the compared methods")
-        )
+            raise _UsageError(f"unknown method {mname!r}")
+    if args.benchmark not in methods:
+        raise _UsageError(f"benchmark {args.benchmark!r} not among the compared methods")
     p = MarketParams(r=args.r, sigma=args.sigma, strike=args.E)
-    taus = _parse_taus(args.tau, parser)
-    T = max(taus)
+    taus = _parse_taus(args.tau)
 
     # columns are positional so the same method may appear twice; evaluators
     # are built in command-line order, so the first to fail is the one reported
     unique = {
-        mname: _method_evaluator(mname, p, T, args) for mname in dict.fromkeys(methods)
+        mname: _method_evaluator(mname, p, max(taus), args) for mname in dict.fromkeys(methods)
     }
-    bench_pos = methods.index(bench)
-    values: list[list[float | None]] = []
-    for t in taus:
-        row = []
-        for mname in methods:
-            try:
-                row.append(unique[mname](t))
-            except DomainError:
-                row.append(None)
-        values.append(row)
-
+    bench_pos = methods.index(args.benchmark)
     other_pos = [k for k in range(len(methods)) if k != bench_pos]
-    header = (
-        "tau,"
-        + ",".join(methods)
-        + ","
-        + ",".join(f"relerr_{methods[k]}" for k in other_pos)
-    )
-    lines = [header]
-    for idx, t in enumerate(taus):
-        cells = [_fmt(t, args.precision)]
-        row = values[idx]
-        for v in row:
-            cells.append("n/a" if v is None else _fmt(v, args.precision))
+    lines = ["tau," + ",".join(methods + [f"relerr_{methods[k]}" for k in other_pos])]
+    for t in taus:
+        row = [_defined(unique[mname], t) for mname in methods]
         bv = row[bench_pos]
-        for k in other_pos:
-            v = row[k]
-            if v is None or bv is None or bv == 0.0:
-                cells.append("n/a")
-            else:
-                cells.append(_fmt(abs(v - bv) / bv, args.precision))
-        lines.append(",".join(cells))
+        relerrs = [
+            None if row[k] is None or bv is None or bv == 0.0 else abs(row[k] - bv) / bv
+            for k in other_pos
+        ]
+        lines.append(",".join(_fmt(v, args.precision) for v in [t, *row, *relerrs]))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_gamma0(args, parser: _Parser) -> int:
+def cmd_gamma0(args) -> int:
     cfg = QuadratureConfig()
     g0 = gamma_critical(cfg)
     peak = f2_max(g0, cfg)
@@ -279,40 +245,21 @@ def cmd_gamma0(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_mispricing(args, parser: _Parser) -> int:
+def cmd_mispricing(args) -> int:
     p = MarketParams(r=args.r, sigma=args.sigma, strike=args.E)
     T = args.T
-    if args.benchmark == "psor":
-        cfg = PsorConfig(
-            n=args.n,
-            m=args.m if args.m is not None else 600,
-            T=T,
-            L=args.L,
-            omega=args.omega,
-        )
-        bench_curve = extract_boundary(psor_solve(p, cfg))
-        tau_min = max(2.0 * cfg.k, T / 1000.0)
-    else:
-        m = args.m if args.m is not None else 400
-        bench_curve = solve_boundary(p, T, m, MeshKind.QUADRATIC)
-        tau_min = float(bench_curve.grid.taus[1])
+    psor = args.benchmark == "psor"
+    bench_curve = _solver_curve(args.benchmark, p, T, args, 600 if psor else 400)
+    # a psor sweep starts two time steps in, and no earlier than T/1000
+    tau_1 = float(bench_curve.grid.taus[1])
+    tau_min = max(2.0 * tau_1, T / 1000.0) if psor else tau_1
     app = _method_evaluator(args.method, p, T, args)
 
-    taus = np.geomspace(tau_min, T, args.points)
     lines = ["tau,eps,err"]
-    for t in taus:
-        t = float(t)
-        try:
-            eps = boundary_rel_err(bench_curve, app, t)
-            eps_cell = _fmt(eps, args.precision)
-        except DomainError:
-            eps_cell = "n/a"
-        try:
-            err = mispricing_err(bench_curve, app, t, p)
-            err_cell = _fmt(err, args.precision)
-        except DomainError:
-            err_cell = "n/a"
-        lines.append(f"{_fmt(t, args.precision)},{eps_cell},{err_cell}")
+    for t in np.geomspace(tau_min, T, args.points).tolist():
+        eps = _defined(boundary_rel_err, bench_curve, app, t)
+        err = _defined(mispricing_err, bench_curve, app, t, p)
+        lines.append(",".join(_fmt(v, args.precision) for v in (t, eps, err)))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -339,10 +286,11 @@ def main(argv=None) -> int:
         for flag in ("precision", "points", "m", "n"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
-                raise SystemExit(_PARSER.exit_with_usage(f"--{flag} must be >= 0, got {value}"))
-        return _COMMANDS[args.command](args, _PARSER)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+                raise _UsageError(f"--{flag} must be >= 0, got {value}")
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"putboundary: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DomainError as exc:
         print(f"putboundary: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -190,18 +190,16 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
 
-_erfc_ufunc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def norm_cdf(x):
     """Standard normal CDF via math.erfc: a float for a float (or int), and
-    for an array the same values elementwise, by a ufunc with no Python
-    frame per element.  Saturates cleanly to 0/1 for large |x|; absolute
-    error is a few ulp, inside the 1e-12 budget the pricing formulas assume.
+    for an array the same values elementwise, in an array of its shape.
+    Saturates cleanly to 0/1 for large |x|; absolute error is a few ulp,
+    inside the 1e-12 budget the pricing formulas assume.
     """
     if isinstance(x, (float, int)):
         return 0.5 * math.erfc(-x / _SQRT2)
-    return 0.5 * np.asarray(_erfc_ufunc(-np.asarray(x, dtype=float) / _SQRT2), dtype=float)
+    z = -np.asarray(x, dtype=float) / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def _boole_weights(n: int) -> np.ndarray:

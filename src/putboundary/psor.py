@@ -24,7 +24,6 @@ by more than a contact tolerance.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -98,28 +97,16 @@ class PsorSolution:
 
     The price is recovered as V(S, t) = E e^{-alpha x} u with x = ln(S/E),
     tau = T - t; by construction u never falls below the obstacle
-    e^{alpha x}(1 - e^x)^+, so V >= (E - S)^+ at every node.  The x and
-    tau grids are built on first use and kept, read-only.
+    e^{alpha x}(1 - e^x)^+, so V >= (E - S)^+ at every node.  x and taus
+    are the solve's own grids, read-only.
     """
 
     u: np.ndarray
     config: PsorConfig
     params: MarketParams
     alpha: float
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        c = self.config
-        x = np.linspace(-c.L, c.L, 2 * c.n + 1)
-        x.flags.writeable = False
-        return x
-
-    @functools.cached_property
-    def taus(self) -> np.ndarray:
-        c = self.config
-        taus = np.linspace(0.0, c.T, c.m + 1)
-        taus.flags.writeable = False
-        return taus
+    x: np.ndarray
+    taus: np.ndarray
 
     def payoff_rel(self) -> np.ndarray:
         """(1 - e^x)^+ on the spatial grid (payoff / strike)."""
@@ -219,9 +206,13 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
     h, k = cfg.h, cfg.k
     lam = p.sigma**2 * k / (2.0 * h * h)
     c = 0.5 * lam
+    if not math.isfinite(c * c):
+        raise DomainError(f"lambda = sigma^2 k/(2 h^2) = {lam:g} too large: h = {h:g}, k = {k:g}")
     decay = math.exp(-beta * k)
     c_rhs, mid_rhs = c * decay, (1.0 - lam) * decay
     x = np.linspace(-cfg.L, cfg.L, 2 * n + 1)
+    taus = np.linspace(0.0, cfg.T, m + 1)
+    x.flags.writeable = taus.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         g = np.exp(alpha * x) * np.maximum(1.0 - np.exp(x), 0.0)
     if not np.all(np.isfinite(g)):
@@ -269,7 +260,7 @@ def psor_solve(p: MarketParams, cfg: PsorConfig) -> PsorSolution:
             np.maximum(y, gi[i0:], out=w[i0:])
         else:
             w[:] = gi
-    return PsorSolution(U.T, cfg, p, alpha)
+    return PsorSolution(U.T, cfg, p, alpha, x, taus)
 
 
 def extract_boundary(sol: PsorSolution, contact_tol: float = 1e-8) -> BoundaryCurve:

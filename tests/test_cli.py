@@ -96,13 +96,17 @@ class TestBoundaryCommand:
         assert code == EXIT_USAGE
 
     def test_solver_natural_grid(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "boundary", "--method", "ssch", "--T", "0.01", "--m", "10"
-        )
-        assert code == EXIT_OK
-        _, rows = parse_csv(out)
-        assert len(rows) == 11  # mesh nodes including tau = 0
-        assert float(rows[0][1]) == 100.0
+        """Without --tau each solver prints its own grid: the ssch mesh nodes
+        or the psor time levels, tau = 0 included."""
+        for argv, nodes in (
+            (("--method", "ssch", "--T", "0.01", "--m", "10"), 11),
+            (("--method", "psor", "--T", "0.5", "--n", "50", "--m", "8"), 9),
+        ):
+            code, out, _ = run_cli(capsys, "boundary", *argv)
+            assert code == EXIT_OK, argv
+            _, rows = parse_csv(out)
+            assert len(rows) == nodes, argv
+            assert float(rows[0][1]) == 100.0, argv
 
     def test_analytic_method_on_horizon_grid(self, capsys):
         code, out, _ = run_cli(
@@ -266,6 +270,24 @@ def test_mispricing_golden_stdout(capsys, method):
     )
     assert code == EXIT_OK
     assert out == MISPRICING_GOLDEN[method]
+
+
+def test_mispricing_psor_benchmark_golden_stdout(capsys):
+    """`putboundary mispricing --E 1 --points 6 --n 200 --m 100`: the psor
+    benchmark, whose sweep starts at max(2k, T/1000) for the time step k."""
+    code, out, _ = run_cli(
+        capsys, "mispricing", "--E", "1", "--points", "6", "--n", "200", "--m", "100"
+    )
+    assert code == EXIT_OK
+    assert out == (
+        "tau,eps,err\n"
+        "0.00012,0.00291596,0.493131\n"
+        "0.000262407,0.00338669,0.418753\n"
+        "0.000573811,0.00342797,0.320806\n"
+        "0.00125477,0.0029914,0.22135\n"
+        "0.00274383,0.00176912,0.120555\n"
+        "0.006,-0.000899493,0.0387684\n"
+    )
 
 
 COMPARE_HEADER = (
@@ -445,6 +467,9 @@ NO_TRACEBACK_ARGV = [
     (("boundary", "--method", "psor", "--T", "1", "--n", "20", "--m", "20", "--L", "1e-300"),
      EXIT_DOMAIN),
     (("boundary", "--method", "psor", "--T", "inf", "--n", "20", "--m", "20"), EXIT_DOMAIN),
+    # h^2 is a normal float, but lambda = sigma^2 k/(2 h^2) ~ 9e303 and its square overflow
+    (("boundary", "--method", "psor", "--T", "1", "--n", "20", "--m", "20", "--L", "1e-152",
+      "--tau", "0.5,1"), EXIT_DOMAIN),
 ]
 
 

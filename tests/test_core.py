@@ -55,6 +55,10 @@ class TestNormCdf:
         assert type(norm_cdf(float(x[0]))) is float
         assert got.dtype == np.float64 and got.shape == x.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        x2 = x[:4005].reshape(89, 45)
+        got2 = norm_cdf(x2)
+        assert got2.dtype == np.float64 and got2.shape == x2.shape
+        assert np.array_equal(got2.view(np.int64), want[:4005].reshape(89, 45).view(np.int64))
 
 
 class TestNewtonCotes:
