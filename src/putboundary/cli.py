@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -32,8 +33,10 @@ EXIT_NUMERICAL = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
+#: the formula methods by command-line name, each tau -> rho for tau > 0
+_FORMULAS = {**CLOSED_FORMS, "zhu": rho_zhu}
 SOLVER_METHODS = ("ssch", "psor")
-ALL_METHODS = tuple(CLOSED_FORMS) + ("zhu",) + SOLVER_METHODS
+ALL_METHODS = tuple(_FORMULAS) + SOLVER_METHODS
 
 
 class _UsageError(Exception):
@@ -103,7 +106,7 @@ def build_parser() -> _Parser:
     mi.add_argument(
         "--method",
         default="zhu-asymptote",
-        choices=tuple(CLOSED_FORMS) + ("zhu",),
+        choices=tuple(_FORMULAS),
         help="approximate boundary (default zhu-asymptote)",
     )
     mi.add_argument(
@@ -156,19 +159,11 @@ def _solver_curve(method: str, p: MarketParams, T: float, args, m: int):
 
 def _method_evaluator(method: str, p: MarketParams, T: float, args):
     """Callable tau -> rho; solver methods are solved once up front and
-    return their BoundaryCurve.  The zhu callable and the curves also take
-    an array of taus."""
-    if method in CLOSED_FORMS:
-        fn = CLOSED_FORMS[method]
-        return lambda tau: p.strike if tau == 0.0 else fn(tau, p)
-    if method == "zhu":
-
-        def zhu(tau):
-            t = np.asarray(tau, dtype=float)
-            rho = np.where(t == 0.0, p.strike, rho_zhu(np.where(t == 0.0, 1.0, t), p))
-            return float(rho) if rho.ndim == 0 else rho
-
-        return zhu
+    return their BoundaryCurve.  A formula gives the strike at a float
+    tau = 0 and passes any other tau, an array too, to the formula."""
+    if method in _FORMULAS:
+        fn = _FORMULAS[method]
+        return lambda tau: p.strike if isinstance(tau, float) and tau == 0.0 else fn(tau, p)
     m = 1000 if method == "psor" else 100 if T <= 1.0 else 200
     return _solver_curve(method, p, T, args, m)
 
@@ -276,27 +271,32 @@ def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
     May be called repeatedly in one process: every call parses with the one
-    parser built at import.
+    parser built at import.  Warnings raised while the command runs are
+    printed once per distinct message, in order, before any error line.
     """
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        for flag in ("precision", "points", "m", "n"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 0:
-                raise _UsageError(f"--{flag} must be >= 0, got {value}")
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"putboundary: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"putboundary: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NumericalError as exc:
-        print(f"putboundary: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            for flag in ("precision", "points", "m", "n"):
+                value = getattr(args, flag, None)
+                if value is not None and value < 0:
+                    raise _UsageError(f"--{flag} must be >= 0, got {value}")
+            code = _COMMANDS[args.command](args)
+        except _UsageError as exc:
+            code, error = EXIT_USAGE, f"error: {exc}"
+        except DomainError as exc:
+            code, error = EXIT_DOMAIN, f"domain error: {exc}"
+        except NumericalError as exc:
+            code, error = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"putboundary: warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"putboundary: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -70,6 +70,11 @@ def european_put(S: float, tau: float, p: MarketParams) -> float:
     return E * math.exp(-p.r * tau) * norm_cdf(-d2) - S * norm_cdf(-d1)
 
 
+def _check_positive_finite(name: str, value: float):
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def price_gap_at_boundary(
     rho,
     rho_app,
@@ -79,10 +84,8 @@ def price_gap_at_boundary(
 ) -> float:
     """Price shortfall at the true boundary point from holding rho_app:
     price_gap_full at S = rho(tau)."""
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    rho_tau = float(rho(tau))
-    return price_gap_full(rho, rho_app, rho_tau, tau, p, cfg)
+    _check_positive_finite("tau", tau)
+    return price_gap_full(rho, rho_app, float(rho(tau)), tau, p, cfg)
 
 
 def price_gap_full(
@@ -98,26 +101,24 @@ def price_gap_full(
     r E int_0^tau e^{-r(tau-xi)} |N(gamma_app) - N(gamma)| dxi with the
     endpoint handled by the s = sqrt(tau - xi) substitution and Boole's
     rule in s; identically 0 when the curves coincide and nonnegative always.
-    Each curve is called once on all n + 1 nodes when it takes arrays, and
-    once per node when it only takes scalars (such as a closed form wrapped
-    to return the strike at tau == 0).
+    The last node is expiry, where both curves equal the strike, so each
+    curve is evaluated only on the n nodes before it: once on all of them
+    when it takes arrays, and once per node when it only takes scalars.
+    tau, S and every node value must be positive and finite.
     """
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if not S > 0:
-        raise DomainError(f"price must be positive, got S={S}")
+    _check_positive_finite("tau", tau)
+    _check_positive_finite("price", S)
     cfg = cfg or QuadratureConfig()
     n = cfg.finite_subintervals
     drift = p.r - 0.5 * p.sigma**2
 
     smax = math.sqrt(tau)
     s = np.linspace(0.0, smax, n + 1)
-    xi = np.clip(tau - s * s, 0.0, tau)
-    xi[0] = tau  # exact despite rounding
-    r_true = _eval_on_nodes(rho, xi)
-    r_app = _eval_on_nodes(rho_app, xi)
-    if np.any(r_true <= 0) or np.any(r_app <= 0):
-        raise DomainError("boundary curves must be positive on [0, tau]")
+    xi = tau - s[:-1] * s[:-1]
+    r_true = np.append(_eval_on_nodes(rho, xi), p.strike)
+    r_app = np.append(_eval_on_nodes(rho_app, xi), p.strike)
+    if not np.all((0 < r_true) & (r_true < np.inf) & (0 < r_app) & (r_app < np.inf)):
+        raise DomainError("boundary curves must be positive and finite on (0, tau]")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         g_app = (np.log(S / r_app) + drift * s * s) / (p.sigma * s)
@@ -141,21 +142,22 @@ def mispricing_err(
     minus the European put there; it collapses as tau -> 0, in which case
     DegenerateDenominatorError is raised rather than returning noise.
     """
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    _check_positive_finite("tau", tau)
     rho_tau = float(rho(tau))
     denom = (p.strike - rho_tau) - european_put(rho_tau, tau, p)
     if denom <= 1e-14 * p.strike:
         raise DegenerateDenominatorError(
             f"early-exercise premium {denom:.3e} at tau={tau:g} too small to normalise by"
         )
-    return price_gap_at_boundary(rho, rho_app, tau, p, cfg) / denom
+    return price_gap_full(rho, rho_app, rho_tau, tau, p, cfg) / denom
 
 
 def boundary_rel_err(rho, rho_app, tau: float) -> float:
     """Signed relative boundary gap (rho - rho_app)/rho at one tau."""
     rho_tau = float(rho(tau))
     app_tau = float(rho_app(tau))
-    if not rho_tau > 0:
-        raise DomainError(f"benchmark boundary must be positive, got {rho_tau}")
+    if not 0 < rho_tau < math.inf:
+        raise DomainError(f"benchmark boundary must be positive and finite, got {rho_tau}")
+    if not math.isfinite(app_tau):
+        raise DomainError(f"approximate boundary must be finite, got {app_tau}")
     return (rho_tau - app_tau) / rho_tau

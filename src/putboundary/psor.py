@@ -305,7 +305,8 @@ def extract_boundary(sol: PsorSolution, contact_tol: float = 1e-8) -> BoundaryCu
 
 
 def price_at(sol: PsorSolution, S: float, t: float) -> float:
-    """Bilinear price lookup V(S, t) on the solved grid."""
+    """Price lookup V(S, t) on the solved grid: linear in x on the two time
+    levels around tau = T - t, then linear in tau between them."""
     p = sol.params
     cfg = sol.config
     if not S > 0:
@@ -318,19 +319,10 @@ def price_at(sol: PsorSolution, S: float, t: float) -> float:
         raise DomainError(f"t={t} outside [0, {cfg.T}]")
     tau = min(max(tau, 0.0), cfg.T)
 
-    x = sol.x
-    taus = sol.taus
-    i = min(int((xq + cfg.L) / cfg.h), 2 * cfg.n - 1)
     j = min(int(tau / cfg.k), cfg.m - 1)
-    wx = (xq - x[i]) / cfg.h
-    wt = (tau - taus[j]) / cfg.k
-    u = (
-        (1 - wx) * (1 - wt) * sol.u[i, j]
-        + wx * (1 - wt) * sol.u[i + 1, j]
-        + (1 - wx) * wt * sol.u[i, j + 1]
-        + wx * wt * sol.u[i + 1, j + 1]
-    )
-    value = p.strike * math.exp(-sol.alpha * xq) * u
-    # bilinear interpolation can dip below the obstacle between nodes; the
-    # true price never does
+    wt = (tau - sol.taus[j]) / cfg.k
+    u0, u1 = (np.interp(xq, sol.x, sol.u[:, level]) for level in (j, j + 1))
+    value = p.strike * math.exp(-sol.alpha * xq) * ((1 - wt) * u0 + wt * u1)
+    # interpolation can dip below the obstacle between nodes; the true
+    # price never does
     return max(value, p.strike - S, 0.0)

@@ -28,7 +28,6 @@ import numpy as np
 from .asymptotics import rho_zhu_asymptote
 from .core import (
     DomainError,
-    BracketError,
     MarketParams,
     QuadratureConfig,
     QuadratureNodeError,
@@ -235,19 +234,12 @@ def gamma_critical(cfg: QuadratureConfig | None = None) -> float:
     """Smallest gamma with max_zeta f2(zeta; gamma) <= pi.
 
     f2's maximum decreases in gamma, so this is the root of
-    f2_max(gamma) - pi, located by the bracketed root finder on a scanned
-    bracket inside (1e-4, 1).
+    f2_max(gamma) - pi on (1e-4, 1), found by the bracketed root finder in
+    ln gamma, since the bracket spans four decades.
     """
     cfg = cfg or QuadratureConfig()
 
-    def g(gamma: float) -> float:
-        return f2_max(gamma, cfg) - math.pi
+    def g(u: float) -> float:
+        return f2_max(math.exp(u), cfg) - math.pi
 
-    grid = np.geomspace(1e-4, 1.0, 33)
-    values = [g(x) for x in grid]
-    for k in range(len(grid) - 1):
-        if values[k] == 0.0:
-            return float(grid[k])
-        if values[k] * values[k + 1] < 0:
-            return find_root_bracketed(g, float(grid[k]), float(grid[k + 1]), cfg)
-    raise BracketError("no sign change of f2_max(gamma) - pi found in (1e-4, 1)")
+    return math.exp(find_root_bracketed(g, math.log(1e-4), 0.0, cfg))

@@ -348,13 +348,16 @@ def test_compare_golden_stdout(capsys, market):
 
 class TestZhuEvaluator:
     def test_zhu_evaluator_takes_arrays(self):
+        """An array of taus after expiry goes to rho_zhu whole, and a float
+        tau = 0 gives the strike."""
         p = MarketParams(r=0.1, sigma=0.3, strike=1.0)
         ev = _method_evaluator("zhu", p, 0.006, None)
-        taus = np.array([0.0, 2e-6, 1e-3, 0.006])
+        taus = np.array([2e-6, 1e-3, 0.006])
         got = ev(taus)
-        assert got.shape == taus.shape and got[0] == 1.0
+        assert got.shape == taus.shape
         assert [ev(float(t)) for t in taus] == list(got)
-        assert got[2] == rho_zhu(1e-3, p)
+        assert got[1] == rho_zhu(1e-3, p)
+        assert ev(0.0) == p.strike
 
 
 class TestOutputContract:
@@ -407,6 +410,18 @@ SOLO_RUNS = [
         EXIT_OK, "tau,rho\n0.0001,99.1418\n0.001,97.6994\n", "",
     ),
     (("gamma0",), EXIT_OK, "0.01678208\n", ""),
+    # tau = 0, where every formula gives the strike
+    (("boundary", "--method", "kk", "--tau", "0,1e-4"), EXIT_OK,
+     "tau,rho\n0,100\n0.0001,99.1854\n", ""),
+    (
+        ("compare", "--method", "kk,ekk,zhu,ssc-a", "--benchmark", "zhu", "--tau", "0,1e-5,1e-3"),
+        EXIT_OK,
+        "tau,kk,ekk,zhu,ssc-a,relerr_kk,relerr_ekk,relerr_ssc-a\n"
+        "0,100,100,100,100,0,0,0\n"
+        "1e-05,99.7049,99.6928,99.5067,99.6932,0.00199177,0.00187,0.00187418\n"
+        "0.001,97.8639,97.6994,96.8269,97.7203,0.0107101,0.00901121,0.00922732\n",
+        "",
+    ),
 ]
 
 
@@ -515,3 +530,29 @@ class TestEntryPoint:
                 "putboundary: numerical failure: boundary solve failed at node 15"
             )
         assert runs[0].stderr == runs[1].stderr
+
+
+def test_warnings_are_typed_lines(capsys):
+    """zhu hands two sweep points' smallest nodes to its small-tau
+    asymptote: each warning is one `putboundary: warning:` line, with no
+    file path or source line, and stdout is the sweep."""
+    argv = ("mispricing", "--E", "1", "--points", "6", "--n", "200", "--m", "100",
+            "--method", "zhu")
+    run = run_module(*argv)
+    assert (run.returncode, run.stdout) == (EXIT_OK, (
+        "tau,eps,err\n"
+        "0.00012,0.00489965,0.655246\n"
+        "0.000262407,0.00631423,0.60365\n"
+        "0.000573811,0.00775518,0.532625\n"
+        "0.00125477,0.00940413,0.468792\n"
+        "0.00274383,0.0113143,0.413899\n"
+        "0.006,0.0134094,0.365464\n"
+    ))
+    note = "below 1e-06: using the small-tau asymptote in"
+    assert run.stderr == (
+        f"putboundary: warning: tau=2.3988e-07 {note} 4 of 1000 values\n"
+        f"putboundary: warning: tau=5.24551e-07 {note} 1 of 1000 values\n"
+    )
+    # in process too, and again on a second call
+    assert run_cli(capsys, *argv) == (EXIT_OK, run.stdout, run.stderr)
+    assert run_cli(capsys, *argv) == (EXIT_OK, run.stdout, run.stderr)

@@ -15,6 +15,7 @@ from putboundary import (
     mispricing_err,
     price_gap_at_boundary,
     price_gap_full,
+    rho_zhu,
     rho_zhu_asymptote,
     solve_boundary,
 )
@@ -126,6 +127,48 @@ class TestGapAtBoundary:
     def test_curve_domain_enforced(self, params, short_curve):
         with pytest.raises(DomainError):
             price_gap_at_boundary(short_curve, short_curve, 0.2, params)
+
+
+class TestExpiryNode:
+    def test_curves_not_sampled_at_expiry(self, params):
+        """The last node is expiry, where the strike is taken: each curve is
+        evaluated on the n nodes before it, all at least tau/n from expiry."""
+        n = QuadratureConfig().finite_subintervals
+        lowest = []
+
+        def spy(xi):
+            lowest.append(float(np.min(xi)))
+            return np.full(np.shape(xi), 0.9 * params.strike)
+
+        for tau in np.geomspace(1e-8, 5.0, 200).tolist():
+            price_gap_full(spy, spy, 0.9 * params.strike, tau, params)
+            assert lowest[-1] >= tau / n, tau
+
+
+NAN_CURVE = lambda t: np.full(np.shape(t), np.nan)
+INF_CURVE = lambda t: np.full(np.shape(t), np.inf)
+
+#: calls on a curve c over [0, 0.01] that returned nan, a finite number
+#: from an infinite input, or numpy RuntimeWarnings before they raised
+NON_FINITE_CALLS = {
+    "gap-nan-curve": lambda c, p: price_gap_full(c, NAN_CURVE, 99.0, 0.005, p),
+    "gap-inf-curve": lambda c, p: price_gap_full(c, INF_CURVE, 99.0, 0.005, p),
+    "gap-inf-spot": lambda c, p: price_gap_full(c, asymptote_fn(p), math.inf, 0.005, p),
+    "gap-inf-tau": lambda c, p: price_gap_full(
+        lambda t: rho_zhu(t, p), lambda t: rho_zhu(t, p), 99.0, math.inf, p
+    ),
+    "mispricing-nan-curve": lambda c, p: mispricing_err(c, NAN_CURVE, 0.005, p),
+    "rel-err-nan-app": lambda c, p: boundary_rel_err(c, NAN_CURVE, 0.005),
+    "rel-err-inf-benchmark": lambda c, p: boundary_rel_err(INF_CURVE, c, 0.005),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_input_is_a_domain_error(call):
+    p = MarketParams(0.1, 0.3, 100.0)
+    c = solve_boundary(p, 0.01, 20)
+    with pytest.raises(DomainError):
+        NON_FINITE_CALLS[call](c, p)
 
 
 class TestGapFull:

@@ -198,6 +198,15 @@ class TestCriticalGamma:
         assert f2_max(g0) == pytest.approx(math.pi, abs=1e-6)
         assert f2_max(2 * g0) < math.pi
 
+    def test_critical_gamma_to_the_root_tolerance(self):
+        """The bracket (1e-4, 1) spans four decades; the root still lands
+        within 1e-12 relative of a narrow-bracket solve, so the search does
+        not stop early, and f2_max is pi there to root_tol."""
+        cfg = QuadratureConfig()
+        g0 = gamma_critical(cfg)
+        assert abs(g0 / 0.01678207552590423 - 1.0) <= 1e-12
+        assert abs(f2_max(g0, cfg) - math.pi) <= cfg.root_tol
+
     def test_monotone_peak_in_gamma(self):
         gs = [0.005, 0.0167821, 0.05, 0.2, 1.0]
         peaks = [f2_max(g) for g in gs]
