@@ -72,9 +72,7 @@ def _add_grid_args(sp, n: int, L: float, omega: float):
 
 def _add_output_args(sp):
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    sp.add_argument(
-        "--precision", type=int, default=6, help="significant digits (default 6)"
-    )
+    sp.add_argument("--precision", type=int, default=6, help="significant digits (default 6)")
 
 
 def build_parser() -> _Parser:
@@ -158,14 +156,25 @@ def _solver_curve(method: str, p: MarketParams, T: float, args, m: int):
 
 
 def _method_evaluator(method: str, p: MarketParams, T: float, args):
-    """Callable tau -> rho; solver methods are solved once up front and
-    return their BoundaryCurve.  A formula gives the strike at a float
-    tau = 0 and passes any other tau, an array too, to the formula."""
+    """Callable tau -> rho for tau > 0; solver methods are solved once up
+    front and return their BoundaryCurve."""
     if method in _FORMULAS:
         fn = _FORMULAS[method]
-        return lambda tau: p.strike if isinstance(tau, float) and tau == 0.0 else fn(tau, p)
+        return lambda tau: fn(tau, p)
     m = 1000 if method == "psor" else 100 if T <= 1.0 else 200
     return _solver_curve(method, p, T, args, m)
+
+
+def _column(method: str, ev, taus, strike: float, na_cells: bool) -> list:
+    """ev's rho at every tau: the strike at tau = 0, one array call for zhu or
+    a solver curve, one call per tau for a closed form (floats only), where a
+    DomainError is an `n/a` cell (None) with na_cells and raised without."""
+    live = [x for x in map(float, taus) if x > 0.0]
+    if method in CLOSED_FORMS:
+        vals = iter([_defined(ev, x) if na_cells else ev(x) for x in live])
+    else:
+        vals = iter(ev(np.array(live)).tolist())
+    return [next(vals) if x > 0.0 else strike for x in taus]
 
 
 def _write(text: str, out: str | None):
@@ -189,9 +198,8 @@ def cmd_boundary(args) -> int:
     if taus is None:
         m = args.m if args.m is not None else 100
         taus = ev.grid.taus if args.method in SOLVER_METHODS else np.linspace(0.0, T, m + 1)
-    lines = ["tau,rho"]
-    for t in taus:
-        lines.append(f"{_fmt(t, args.precision)},{_fmt(ev(t), args.precision)}")
+    rows = zip(taus, _column(args.method, ev, taus, p.strike, na_cells=False))
+    lines = ["tau,rho"] + [",".join(_fmt(v, args.precision) for v in row) for row in rows]
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -210,14 +218,12 @@ def cmd_compare(args) -> int:
 
     # columns are positional so the same method may appear twice; evaluators
     # are built in command-line order, so the first to fail is the one reported
-    unique = {
-        mname: _method_evaluator(mname, p, max(taus), args) for mname in dict.fromkeys(methods)
-    }
+    unique = {m: _method_evaluator(m, p, max(taus), args) for m in dict.fromkeys(methods)}
+    cols = {m: _column(m, ev, taus, p.strike, na_cells=True) for m, ev in unique.items()}
     bench_pos = methods.index(args.benchmark)
     other_pos = [k for k in range(len(methods)) if k != bench_pos]
     lines = ["tau," + ",".join(methods + [f"relerr_{methods[k]}" for k in other_pos])]
-    for t in taus:
-        row = [_defined(unique[mname], t) for mname in methods]
+    for t, *row in zip(taus, *(cols[m] for m in methods)):
         bv = row[bench_pos]
         relerrs = [
             None if row[k] is None or bv is None or bv == 0.0 else abs(row[k] - bv) / bv

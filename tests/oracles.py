@@ -144,6 +144,8 @@ def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
     np.linspace grid.  The package collapses the inner integral to a
     difference of normal CDFs; this route integrates the kernel numerically,
     so it converges to the package's value as cfg.finite_subintervals grows.
+    Both curves are evaluated on the n nodes before expiry; the last node
+    is expiry, xi = 0, where each equals the strike.
     """
     from putboundary.core import QuadratureConfig, _boole_weights, _eval_on_nodes
 
@@ -155,10 +157,9 @@ def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
 
     smax = math.sqrt(tau)
     st = np.linspace(0.0, smax, n + 1)
-    xi = np.clip(tau - st * st, 0.0, tau)
-    xi[0] = tau
-    r_true = _eval_on_nodes(rho, xi)
-    r_app = _eval_on_nodes(rho_app, xi)
+    xi = tau - st[:-1] * st[:-1]
+    r_true = np.append(_eval_on_nodes(rho, xi), E)
+    r_app = np.append(_eval_on_nodes(rho_app, xi), E)
     lo = np.log(r_app / E)
     hi = np.log(r_true / E)
 

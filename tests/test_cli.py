@@ -2,12 +2,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from putboundary import MarketParams, cli, rho_zhu
+from putboundary import (
+    DomainError,
+    MarketParams,
+    SmallTauSubstitution,
+    cli,
+    gamma_critical,
+    rho_zhu,
+)
 from putboundary.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERICAL,
@@ -348,8 +356,9 @@ def test_compare_golden_stdout(capsys, market):
 
 class TestZhuEvaluator:
     def test_zhu_evaluator_takes_arrays(self):
-        """An array of taus after expiry goes to rho_zhu whole, and a float
-        tau = 0 gives the strike."""
+        """An array of taus after expiry goes to rho_zhu whole.  tau = 0 is
+        not the evaluator's case: the rows of boundary and compare take the
+        strike there (SOLO_RUNS covers both)."""
         p = MarketParams(r=0.1, sigma=0.3, strike=1.0)
         ev = _method_evaluator("zhu", p, 0.006, None)
         taus = np.array([2e-6, 1e-3, 0.006])
@@ -357,7 +366,101 @@ class TestZhuEvaluator:
         assert got.shape == taus.shape
         assert [ev(float(t)) for t in taus] == list(got)
         assert got[1] == rho_zhu(1e-3, p)
-        assert ev(0.0) == p.strike
+
+
+COLUMN_METHODS = ("kk", "ekk", "ssc-a", "chen-chadam", "zhu-asymptote", "zhu")
+
+#: each holds tau = 0, 5e-7 (below zhu's small-tau cutoff), a duplicate and
+#: values out of order
+COLUMN_TAUS = ("0.5,0,5e-7,1e-3,1e-3,1e-5", "2,1e-4,0,5e-7,2,0.05")
+
+
+def _column_markets():
+    g0 = gamma_critical()
+    for gamma in (0.7 * g0, 1.2 * g0, 1.0, 2.2, 8.0):
+        for strike in (1.0, 100.0):
+            yield MarketParams(r=0.5 * gamma * 0.3**2, sigma=0.3, strike=strike)
+
+
+def _market_argv(p):
+    return ("--r", repr(p.r), "--sigma", repr(p.sigma), "--E", repr(p.strike))
+
+
+def _scalar_rho(method, tau, p):
+    """One scalar call per cell, the strike at tau = 0, None where undefined."""
+    if tau == 0.0:
+        return p.strike
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallTauSubstitution)
+        try:
+            return cli._FORMULAS[method](tau, p)
+        except DomainError:
+            return None
+
+
+def _cells(values, precision=17):
+    return ",".join("n/a" if v is None else f"{v:.{precision}g}" for v in values)
+
+
+class TestColumns:
+    """boundary and compare evaluate each method once per command; the rows
+    equal those of one scalar call per tau."""
+
+    @pytest.mark.parametrize("taus", COLUMN_TAUS)
+    def test_compare_matches_scalar_calls(self, capsys, taus):
+        na = 0
+        for p in _column_markets():
+            code, out, _ = run_cli(
+                capsys, "compare", "--method", ",".join(COLUMN_METHODS), "--benchmark", "zhu",
+                "--tau", taus, "--precision", "17", *_market_argv(p),
+            )
+            others = COLUMN_METHODS[:-1]
+            lines = ["tau," + ",".join(COLUMN_METHODS + tuple(f"relerr_{m}" for m in others))]
+            for t in map(float, taus.split(",")):
+                row = [_scalar_rho(m, t, p) for m in COLUMN_METHODS]
+                bv = row[-1]
+                rel = [None if v is None or bv == 0.0 else abs(v - bv) / bv for v in row[:-1]]
+                lines.append(_cells([t, *row, *rel]))
+                na += row.count(None)
+            assert (code, out) == (EXIT_OK, "\n".join(lines) + "\n"), p
+        assert na > 0  # some closed forms are undefined on these lists
+
+    def test_boundary_on_the_horizon_grid_matches_scalar_calls(self, capsys):
+        taus = np.linspace(0.0, 0.5, 5)
+        for p in _column_markets():
+            code, out, _ = run_cli(
+                capsys, "boundary", "--method", "zhu", "--T", "0.5", "--m", "4",
+                "--precision", "17", *_market_argv(p),
+            )
+            want = ["tau,rho"] + [_cells([t, _scalar_rho("zhu", float(t), p)]) for t in taus]
+            assert (code, out) == (EXIT_OK, "\n".join(want) + "\n"), p
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--method", "kk,zhu,ekk,zhu", "--benchmark", "zhu",
+         "--tau", "1e-5,0,1e-3,0.1,5"),
+        ("boundary", "--method", "zhu", "--tau", "0.3,1e-5,0,2"),
+        ("boundary", "--method", "zhu", "--T", "0.5", "--m", "4"),
+    ])
+    def test_one_zhu_call_per_command(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def spy(tau, p):
+            calls.append(tau)
+            return rho_zhu(tau, p)
+
+        monkeypatch.setitem(cli._FORMULAS, "zhu", spy)
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert len(calls) == 1 and np.all(np.asarray(calls[0]) > 0.0)
+
+    def test_one_warning_for_the_small_taus_of_a_column(self, capsys):
+        code, _, err = run_cli(
+            capsys, "compare", "--method", "kk,zhu", "--benchmark", "zhu",
+            "--tau", "2e-7,5e-7,1e-3",
+        )
+        assert (code, err) == (EXIT_OK, (
+            "putboundary: warning: tau=2e-07 below 1e-06: using the small-tau asymptote "
+            "in 2 of 3 values\n"
+        ))
 
 
 class TestOutputContract:
