@@ -32,7 +32,6 @@ __all__ = [
     "rho_ssc_analytic",
     "rho_zhu_asymptote",
     "rho_chen_chadam",
-    "chen_chadam_alpha",
 ]
 
 
@@ -97,12 +96,14 @@ def rho_ekk(tau: float, p: MarketParams) -> float:
 
 
 def rho_ssc_analytic(tau: float, p: MarketParams) -> float:
-    """Analytic boundary from the lowest-order solution of the integral equation."""
+    """Lowest-order analytic boundary; DomainError where it leaves (0, E]."""
     _check_tau(tau)
     eta = _eta(float(tau), p, math)
-    return p.strike * math.exp(
-        -(p.r - 0.5 * p.sigma**2) * tau + p.sigma * math.sqrt(2.0 * tau) * eta
-    )
+    expo = -(p.r - 0.5 * p.sigma**2) * tau + p.sigma * math.sqrt(2.0 * tau) * eta
+    rho = p.strike * math.exp(expo) if expo <= 0.0 else 0.0  # 0.0 flags rho > E too
+    if rho == 0.0:
+        raise DomainError(f"ssc-a formula leaves (0, E] at tau={tau:g}: exponent {expo:.6g}")
+    return rho
 
 
 def rho_zhu_asymptote(tau: float, p: MarketParams) -> float:
@@ -119,7 +120,7 @@ def rho_zhu_asymptote(tau: float, p: MarketParams) -> float:
     )
 
 
-def chen_chadam_alpha(xi: float) -> float:
+def _chen_chadam_alpha(xi: float) -> float:
     """Sixth-order expansion of the squared-log boundary amplitude.
 
     alpha(xi) = -xi - 1/(2 xi) + 1/(8 xi^2) + 17/(24 xi^3) - 51/(64 xi^4)
@@ -147,7 +148,7 @@ def rho_chen_chadam(tau: float, p: MarketParams) -> float:
     """
     _check_tau(tau)
     xi = math.log(math.sqrt(8.0 * math.pi * p.r**2 * tau / p.sigma**2))
-    alpha = chen_chadam_alpha(xi)
+    alpha = _chen_chadam_alpha(xi)
     if alpha <= 0.0:
         raise DomainError(f"series gave non-positive alpha={alpha:.6g} at xi={xi:.6g}")
     return p.strike * math.exp(-p.sigma * math.sqrt(2.0 * tau * alpha))

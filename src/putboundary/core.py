@@ -169,8 +169,7 @@ class QuadratureConfig:
     """Knobs for the quadrature and root-finding kernels.
 
     finite_subintervals must be a multiple of 4 because the composite rule
-    consumes panels of four subintervals (closed five-point Newton-Cotes);
-    the integral formula uses it as its node count.
+    consumes panels of four subintervals (closed five-point Newton-Cotes).
     """
 
     finite_subintervals: int = 1000

@@ -45,11 +45,14 @@ __all__ = [
 ]
 
 #: below this time to maturity the integral is handed over to the asymptote
-SMALL_TAU_CUTOFF = 1e-6
+SMALL_TAU_CUTOFF = 1e-16
 
 #: lower end of the zeta grid; below it the integrand is O(zeta^2), so the
 #: part left out is O(1e-18)
 _ZETA_MIN = 1e-6
+
+#: trapezoid nodes in s = ln zeta; the rule has converged to rounding on them
+_NODES = 300
 
 
 class SmallTauSubstitution(UserWarning):
@@ -87,29 +90,29 @@ def _check_tail(near, far, z: float, taus: np.ndarray, cfg: QuadratureConfig):
     if bad.any():
         i = int(np.argmax(bad))
         raise TailTooHeavyError(
-            f"tail bound {tail[i]:.3e} beyond Z={z:g} at tau={taus[i]:g} exceeds "
-            f"{10 * cfg.root_tol:.1e}; increase the truncation"
+            f"at tau={taus[i]:g} the integrand's tail beyond Z={z:g} is bounded by "
+            f"{tail[i]:.3e}, over the {10 * cfg.root_tol:.1e} allowed"
         )
 
 
 @functools.lru_cache(maxsize=8)
-def _tabulated_kernel(p: MarketParams, cfg: QuadratureConfig, z_gauss: float, power: int):
+def _tabulated_kernel(p: MarketParams):
     """The tau-free part of _damped_integral's trapezoid rule in s = ln zeta,
-    tabulated once per market and grid: the weighted kernel row
-    zeta (a^2+zeta^2)^(power-1) e^{-f1} sin f2 * zeta h, the exponents
-    a^2+zeta^2 of the damping (the last one at the tail probe 1.1 Z), the
-    last node Z = z_gauss and the kernel at Z and at the probe.  The arrays
-    are read-only, because every call with the same arguments shares them.
-    A non-finite kernel raises QuadratureNodeError, which is not cached.
+    once per market, on _NODES nodes from _ZETA_MIN to Z = 11/(sigma
+    sqrt(SMALL_TAU_CUTOFF)), where the damping of the smallest integrated tau
+    is e^-60.5: the row zeta/(a^2+zeta^2) e^{-f1} sin f2 * zeta h, the
+    exponents a^2+zeta^2 (the last at the tail probe 1.1 Z), Z and the kernel
+    at Z and at the probe.  The shared arrays are read-only.  A non-finite
+    kernel raises QuadratureNodeError, which is not cached.
     """
-    s, h = np.linspace(
-        math.log(_ZETA_MIN), math.log(z_gauss), cfg.finite_subintervals, retstep=True
-    )
+    z_end = 11.0 / (p.sigma * math.sqrt(SMALL_TAU_CUTOFF))
+    s, h = np.linspace(math.log(_ZETA_MIN), math.log(z_end), _NODES, retstep=True)
     zeta = np.exp(s)
     zeta = np.append(zeta, 1.1 * zeta[-1])  # the last node Z and the tail probe
-    f1, f2 = zhu_kernels(zeta, p)
-    q = p.a * p.a + zeta * zeta
-    g = zeta * q ** (power - 1) * np.exp(-f1) * np.sin(f2)
+    with np.errstate(all="ignore"):  # a non-finite g is reported just below
+        f1, f2 = zhu_kernels(zeta, p)
+        q = p.a * p.a + zeta * zeta
+        g = zeta / q * np.exp(-f1) * np.sin(f2)
     bad = ~np.isfinite(g)
     if bad.any():
         i = int(np.argmax(bad))
@@ -122,18 +125,20 @@ def _tabulated_kernel(p: MarketParams, cfg: QuadratureConfig, z_gauss: float, po
 
 
 def _damped_integral(
-    taus: np.ndarray, p: MarketParams, cfg: QuadratureConfig, z_gauss: float, power: int
+    taus: np.ndarray, p: MarketParams, cfg: QuadratureConfig, power: int
 ) -> np.ndarray:
     """int_0^inf zeta (a^2+zeta^2)^(power-1) e^{-tau sigma^2/2 (a^2+zeta^2)}
     e^{-f1} sin f2 dzeta for each tau, by the trapezoid rule in s = ln zeta.
 
     The integrand is analytic and decays at both ends in s, so the rule
-    converges exponentially in the node count.  The grid runs to Z = z_gauss
-    whatever tau is: the kernel is tabulated once per market
-    (_tabulated_kernel) and each tau costs one damping row and one row sum.
+    converges exponentially in the node count.  One table per market serves
+    every tau and power; each tau costs one damping row and one row sum.
     """
-    kernel, q, z, g_near, g_far = _tabulated_kernel(p, cfg, z_gauss, power)
-    damp = np.exp(np.multiply.outer(-0.5 * p.sigma**2 * taus, q))
+    kernel, q, z, g_near, g_far = _tabulated_kernel(p)
+    expo = np.multiply.outer(-0.5 * p.sigma**2 * taus, q)
+    if power:  # (a^2+zeta^2)^power goes in the exponent, where it cannot overflow
+        expo += power * np.log(q)
+    damp = np.exp(expo)
     _check_tail(np.abs(g_near * damp[:, -2]), np.abs(g_far * damp[:, -1]), z, taus, cfg)
     return np.sum(kernel * damp[:, :-1], axis=-1)
 
@@ -142,15 +147,13 @@ def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
     """Boundary level from the closed integral formula, at a scalar tau or
     elementwise on an array of taus.
 
-    The integral is the trapezoid rule in s = ln zeta on cfg.finite_subintervals
-    nodes from zeta = 1e-6 to 8/(sigma sqrt(SMALL_TAU_CUTOFF)), where the
-    damping of the smallest integrated tau is e^-32.  The grid does not
-    depend on tau, so the cost is flat in tau and a scalar call equals its
-    element of an array call bit for bit.  For tau below SMALL_TAU_CUTOFF the Gaussian damping
-    would outrun that grid, so the exact small-tau asymptote is substituted
-    in those elements and one SmallTauSubstitution warning flags them.
-    Raises DomainError for any tau <= 0, NaN or inf and TailTooHeavyError
-    when the truncated tail of any tau exceeds 10 * cfg.root_tol.
+    The trapezoid rule in s = ln zeta on one grid per market (_tabulated_kernel):
+    the cost is flat in tau and a scalar call equals its element of an array
+    call bit for bit.  Below SMALL_TAU_CUTOFF the damping would outrun the
+    grid, so the small-tau asymptote takes those elements and one
+    SmallTauSubstitution warning flags them.  Raises DomainError for any tau
+    <= 0, NaN or inf and TailTooHeavyError when the truncated tail of any tau
+    exceeds 10 * cfg.root_tol.
     """
     t = np.asarray(tau, dtype=float).ravel()
     ok = (t > 0) & np.isfinite(t)
@@ -168,8 +171,7 @@ def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
         )
         out[small] = [rho_zhu_asymptote(float(x), p) for x in t[small]]
     if not small.all():
-        z_gauss = 8.0 / (p.sigma * math.sqrt(SMALL_TAU_CUTOFF))
-        integral = _damped_integral(t[~small], p, cfg, z_gauss, power=0)
+        integral = _damped_integral(t[~small], p, cfg, power=0)
         out[~small] = p.perpetual_boundary + (2.0 * p.strike / math.pi) * integral
     return float(out[0]) if np.ndim(tau) == 0 else out.reshape(np.shape(tau))
 
@@ -185,16 +187,14 @@ def zhu_second_derivative(
         (2 E sigma^4 / 4 pi) * int_0^inf (a^2+zeta^2) zeta e^{-tau sigma^2/2 (a^2+zeta^2)}
                                          e^{-f1} sin(f2) dzeta,
 
-    by the trapezoid rule of rho_zhu on a grid that reaches
-    11/(sigma sqrt(min(tau, SMALL_TAU_CUTOFF))).  Positive whenever f2
-    stays in (0, pi), i.e. for gamma >= gamma_critical().
+    by the trapezoid rule of rho_zhu on its grid; positive whenever f2 stays
+    in (0, pi), i.e. for gamma >= gamma_critical().  Near SMALL_TAU_CUTOFF the
+    (a^2+zeta^2)^2 growth outruns the damping at Z: TailTooHeavyError.
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise DomainError(f"tau must be positive and finite, got {tau}")
     cfg = cfg or QuadratureConfig()
-    # the (a^2+zeta^2)^2 growth needs more Gaussian headroom than rho_zhu
-    z_gauss = 11.0 / (p.sigma * math.sqrt(min(tau, SMALL_TAU_CUTOFF)))
-    integral = float(_damped_integral(np.array([tau]), p, cfg, z_gauss, power=2)[0])
+    integral = float(_damped_integral(np.array([tau]), p, cfg, power=2)[0])
     return (2.0 * p.strike * p.sigma**4 / (4.0 * math.pi)) * integral
 
 

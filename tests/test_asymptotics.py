@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from putboundary import (
     CLOSED_FORMS,
     DomainError,
     MarketParams,
-    chen_chadam_alpha,
     eta_lowest_order,
     rho_chen_chadam,
     rho_ekk,
@@ -18,6 +18,7 @@ from putboundary import (
     rho_ssc_analytic,
     rho_zhu_asymptote,
 )
+from putboundary.asymptotics import _chen_chadam_alpha
 
 _P = MarketParams(r=0.1, sigma=0.3, strike=100.0)
 
@@ -122,6 +123,17 @@ class TestValidityDomains:
             v = fn(tau, params)
             assert 0.0 < v <= params.strike
 
+    @pytest.mark.parametrize(
+        "r, sigma, strike, tau",
+        [(1e-8, 2.3, 100.0, 720.0), (1e-8, 1.6, 100.0, 289.0), (1e-30, 0.01, 1e-300, 1e6)],
+    )
+    def test_ssc_analytic_stays_in_zero_to_strike(self, r, sigma, strike, tau):
+        """eta is defined, but the exponent is positive (rho > E, or an
+        OverflowError) in the first two and rho underflows to 0 in the last."""
+        p = MarketParams(r=r, sigma=sigma, strike=strike)
+        with pytest.raises(DomainError, match=re.escape(f"tau={tau:g}:")):
+            rho_ssc_analytic(tau, p)
+
     def test_eta_lowest_order_domain(self, params):
         with pytest.raises(DomainError):
             eta_lowest_order(10.0, params)
@@ -140,11 +152,11 @@ class TestSeriesExpansion:
             - Fraction(287, 120) / xi**5
             + Fraction(199, 32) / xi**6
         )
-        assert chen_chadam_alpha(-10.0) == pytest.approx(float(want), rel=1e-14)
+        assert _chen_chadam_alpha(-10.0) == pytest.approx(float(want), rel=1e-14)
 
     def test_alpha_leading_terms(self):
         # at xi = -10 the first three contributions are 10, +0.05, +0.00125
-        assert chen_chadam_alpha(-10.0) == pytest.approx(
+        assert _chen_chadam_alpha(-10.0) == pytest.approx(
             10.0 + 0.05 + 0.00125, abs=2e-3
         )
 
@@ -155,7 +167,7 @@ class TestSeriesExpansion:
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            chen_chadam_alpha(-0.5)
+            _chen_chadam_alpha(-0.5)
 
 
 def test_dispatch_covers_all_tags(params):

@@ -237,7 +237,8 @@ class TestMispricingCommand:
 
 #: stdout of `putboundary mispricing --benchmark ssch --E 1 --points 6 --m 60`
 #: at the default precision; faster pricing code must print these bytes
-#: unchanged (zhu frozen from the fixed-step Newton-Cotes integral)
+#: unchanged (zhu frozen with the integral at every pricing node, the same to
+#: 9 digits on 300, 1,200 and 4,800 trapezoid nodes)
 MISPRICING_GOLDEN = {
     "ssc-a": (
         "tau,eps,err\n"
@@ -259,10 +260,10 @@ MISPRICING_GOLDEN = {
     ),
     "zhu": (
         "tau,eps,err\n"
-        "1.66667e-06,0.000937058,0.677823\n"
-        "8.57253e-06,0.00178712,0.642425\n"
-        "4.4093e-05,0.00316546,0.570154\n"
-        "0.000226793,0.00547746,0.510849\n"
+        "1.66667e-06,0.000937058,0.754445\n"
+        "8.57253e-06,0.00178712,0.644386\n"
+        "4.4093e-05,0.00316546,0.570199\n"
+        "0.000226793,0.00547746,0.510852\n"
         "0.00116652,0.00889846,0.441558\n"
         "0.006,0.0131704,0.358139\n"
     ),
@@ -370,9 +371,11 @@ class TestZhuEvaluator:
 
 COLUMN_METHODS = ("kk", "ekk", "ssc-a", "chen-chadam", "zhu-asymptote", "zhu")
 
-#: each holds tau = 0, 5e-7 (below zhu's small-tau cutoff), a duplicate and
-#: values out of order
-COLUMN_TAUS = ("0.5,0,5e-7,1e-3,1e-3,1e-5", "2,1e-4,0,5e-7,2,0.05")
+#: each holds tau = 0, 5e-7, a duplicate and values out of order; the last
+#: also holds 5e-17, below zhu's small-tau cutoff of 1e-16
+COLUMN_TAUS = (
+    "0.5,0,5e-7,1e-3,1e-3,1e-5", "2,1e-4,0,5e-7,2,0.05", "2,5e-17,0,5e-7,1e-3,1e-3"
+)
 
 
 def _column_markets():
@@ -455,10 +458,10 @@ class TestColumns:
     def test_one_warning_for_the_small_taus_of_a_column(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", "--method", "kk,zhu", "--benchmark", "zhu",
-            "--tau", "2e-7,5e-7,1e-3",
+            "--tau", "2e-17,5e-17,1e-3",
         )
         assert (code, err) == (EXIT_OK, (
-            "putboundary: warning: tau=2e-07 below 1e-06: using the small-tau asymptote "
+            "putboundary: warning: tau=2e-17 below 1e-16: using the small-tau asymptote "
             "in 2 of 3 values\n"
         ))
 
@@ -605,6 +608,29 @@ def test_bad_input_is_one_typed_line(argv, code):
     assert last.startswith(f"putboundary: {kind}: ") and run.stderr.count("\n") == 1
 
 
+#: ssc-a where its exponent is positive (an OverflowError, and rho > E),
+#: the kernel table of a market whose gamma overflows, and zhu's asymptote
+STDERR_CONTRACT_ARGV = [
+    ("boundary", "--method", "ssc-a", "--r", "1e-8", "--sigma", "2.3", "--tau", "720"),
+    ("boundary", "--method", "ssc-a", "--r", "1e-8", "--sigma", "1.6", "--tau", "289"),
+    ("compare", "--method", "ssc-a,kk", "--benchmark", "kk", "--r", "1e-8", "--sigma", "2.3",
+     "--tau", "720,1e-3"),
+    ("compare", "--method", "ekk,zhu", "--benchmark", "ekk", "--sigma", "1e-150", "--tau", "1e-3"),
+    ("boundary", "--method", "zhu", "--tau", "1e-17,1e-3"),
+]
+
+
+@pytest.mark.parametrize("argv", STDERR_CONTRACT_ARGV, ids=" ".join)
+def test_stderr_is_typed_lines(argv):
+    """In a fresh process: a documented exit code, and every stderr line is
+    one of the program's own, with no traceback or numpy warning."""
+    run = run_module(*argv)
+    assert run.returncode in (EXIT_OK, EXIT_NUMERICAL, EXIT_DOMAIN, EXIT_USAGE)
+    for line in run.stderr.splitlines():
+        assert line.startswith("putboundary: "), line
+        assert "Traceback" not in line and "encountered in" not in line, line
+
+
 class TestEntryPoint:
     """The `if __name__ == "__main__"` path: exit codes reach the shell."""
 
@@ -636,26 +662,36 @@ class TestEntryPoint:
 
 
 def test_warnings_are_typed_lines(capsys):
-    """zhu hands two sweep points' smallest nodes to its small-tau
-    asymptote: each warning is one `putboundary: warning:` line, with no
-    file path or source line, and stdout is the sweep."""
-    argv = ("mispricing", "--E", "1", "--points", "6", "--n", "200", "--m", "100",
-            "--method", "zhu")
+    """zhu hands two sweep points below 1e-16 to its small-tau asymptote:
+    each warning is one `putboundary: warning:` line, with no file path or
+    source line, and stdout is the sweep (err is n/a so near expiry: the
+    early-exercise premium is too small to normalise by)."""
+    argv = ("mispricing", "--E", "1", "--T", "1e-15", "--points", "3", "--m", "20",
+            "--benchmark", "ssch", "--method", "zhu")
     run = run_module(*argv)
     assert (run.returncode, run.stdout) == (EXIT_OK, (
         "tau,eps,err\n"
-        "0.00012,0.00489965,0.655246\n"
-        "0.000262407,0.00631423,0.60365\n"
-        "0.000573811,0.00775518,0.532625\n"
-        "0.00125477,0.00940413,0.468792\n"
-        "0.00274383,0.0113143,0.413899\n"
-        "0.006,0.0134094,0.365464\n"
+        "2.5e-18,4.68842e-09,n/a\n"
+        "5e-17,1.90168e-08,n/a\n"
+        "1e-15,8.15809e-08,n/a\n"
     ))
-    note = "below 1e-06: using the small-tau asymptote in"
+    note = "below 1e-16: using the small-tau asymptote in"
     assert run.stderr == (
-        f"putboundary: warning: tau=2.3988e-07 {note} 4 of 1000 values\n"
-        f"putboundary: warning: tau=5.24551e-07 {note} 1 of 1000 values\n"
+        f"putboundary: warning: tau=2.5e-18 {note} 1 of 1 values\n"
+        f"putboundary: warning: tau=5e-17 {note} 1 of 1 values\n"
     )
     # in process too, and again on a second call
     assert run_cli(capsys, *argv) == (EXIT_OK, run.stdout, run.stderr)
     assert run_cli(capsys, *argv) == (EXIT_OK, run.stdout, run.stderr)
+    # a sweep whose pricing nodes reach 2.4e-7 integrates them and warns nothing
+    argv = ("mispricing", "--E", "1", "--points", "6", "--n", "200", "--m", "100",
+            "--method", "zhu")
+    assert run_cli(capsys, *argv) == (EXIT_OK, (
+        "tau,eps,err\n"
+        "0.00012,0.00489965,0.655258\n"
+        "0.000262407,0.00631423,0.603653\n"
+        "0.000573811,0.00775518,0.532625\n"
+        "0.00125477,0.00940413,0.468792\n"
+        "0.00274383,0.0113143,0.413899\n"
+        "0.006,0.0134094,0.365464\n"
+    ), "")

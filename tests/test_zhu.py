@@ -17,7 +17,8 @@ from putboundary import (
     zhu_kernels,
     zhu_second_derivative,
 )
-from putboundary.zhu import SMALL_TAU_CUTOFF, _damped_integral, _tabulated_kernel
+from putboundary import zhu
+from putboundary.zhu import SMALL_TAU_CUTOFF, _tabulated_kernel
 
 import oracles
 
@@ -98,18 +99,35 @@ class TestBoundary:
             assert rho_zhu(tau, params) > params.perpetual_boundary
 
     def test_small_tau_substitution_flagged(self, params):
+        assert SMALL_TAU_CUTOFF == 1e-16
         with pytest.warns(SmallTauSubstitution):
-            v = rho_zhu(1e-7, params)
-        assert v == rho_zhu_asymptote(1e-7, params)
+            v = rho_zhu(1e-17, params)
+        assert v == rho_zhu_asymptote(1e-17, params)
 
-    def test_truncation_doubling_invariance(self, params):
-        # rho_zhu's grid ends at the Gaussian cutoff of the smallest
-        # integrated tau; doubling that end moves every node
-        tau = np.array([0.01])
-        z = 8.0 / (params.sigma * math.sqrt(SMALL_TAU_CUTOFF))
-        a = _damped_integral(tau, params, QuadratureConfig(), z, power=0)[0]
-        b = _damped_integral(tau, params, QuadratureConfig(), 2 * z, power=0)[0]
-        assert (2.0 * params.strike / math.pi) * abs(a - b) < 1e-8 * params.strike
+    def test_truncation_doubling_invariance(self, monkeypatch, params):
+        # the grid ends at the Gaussian cutoff of the smallest integrated
+        # tau; a quarter of that tau doubles the end and moves every node
+        taus = np.array([1e-15, 1e-8, 1e-3, 0.01, 1.0])
+        a = rho_zhu(taus, params)
+        monkeypatch.setattr(zhu, "SMALL_TAU_CUTOFF", SMALL_TAU_CUTOFF / 4)
+        _tabulated_kernel.cache_clear()
+        b = rho_zhu(taus, params)
+        _tabulated_kernel.cache_clear()
+        assert np.max(np.abs(a - b)) < 1e-15 * params.strike
+
+    @pytest.mark.parametrize("gamma", [0.222, 2.22, 9.6, 12.0, 80.0])
+    def test_monotone_across_the_old_cutoff(self, gamma):
+        """The asymptote once took over below 1e-6, where it is off by up to
+        7e-3 E (gamma 0.002-800, sigma 0.05-1.5): at gamma = 9.6 rho rose."""
+        p = MarketParams(r=0.5 * gamma * 0.25**2, sigma=0.25, strike=100.0)
+        vals = rho_zhu(np.geomspace(1e-7, 1e-5, 201), p)
+        assert np.all(np.diff(vals) < 0)
+
+    def test_node_count_does_not_read_finite_subintervals(self, params):
+        taus = np.array([1e-16, 1e-9, 1e-3, 1.0, 5.0])
+        a = rho_zhu(taus, params, QuadratureConfig(finite_subintervals=8))
+        b = rho_zhu(taus, params, QuadratureConfig(finite_subintervals=20000))
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_monotone_decreasing_and_convex(self, params):
         taus = [0.01 * k for k in range(1, 101)]
@@ -131,29 +149,21 @@ class TestSecondDerivative:
         assert abs(zhu_second_derivative(200.0, params)) < 1e-10
 
     def test_matches_finite_difference_oracle(self, params):
-        # centered second difference of the boundary with matched quadrature
-        cfg = QuadratureConfig(finite_subintervals=20000)
+        # centered second difference of the boundary on the same grid
         h = 1e-3
         fd = (
-            rho_zhu(1.0 + h, params, cfg)
-            - 2.0 * rho_zhu(1.0, params, cfg)
-            + rho_zhu(1.0 - h, params, cfg)
+            rho_zhu(1.0 + h, params) - 2.0 * rho_zhu(1.0, params) + rho_zhu(1.0 - h, params)
         ) / (h * h)
-        direct = zhu_second_derivative(1.0, params, cfg)
+        direct = zhu_second_derivative(1.0, params)
         assert direct == pytest.approx(fd, rel=1e-4)
 
     def test_agreement_with_second_differences_across_horizons(self, params):
-        cfg = QuadratureConfig(finite_subintervals=20000)
         for tau in (0.1, 0.5, 1.0, 2.0):
             h = 1e-3
             fd = (
-                rho_zhu(tau + h, params, cfg)
-                - 2.0 * rho_zhu(tau, params, cfg)
-                + rho_zhu(tau - h, params, cfg)
+                rho_zhu(tau + h, params) - 2.0 * rho_zhu(tau, params) + rho_zhu(tau - h, params)
             ) / (h * h)
-            assert zhu_second_derivative(tau, params, cfg) == pytest.approx(
-                fd, rel=1e-3
-            )
+            assert zhu_second_derivative(tau, params) == pytest.approx(fd, rel=1e-3)
 
 
 #: max over zeta of f2 at gamma = 10^(k/2), k = -10..10, by golden-section
@@ -215,7 +225,7 @@ class TestCriticalGamma:
 
 class TestArrayContract:
     def test_scalar_equals_array_element_bit_for_bit(self, params):
-        taus = np.geomspace(1.01e-6, 200.0, 301)
+        taus = np.geomspace(SMALL_TAU_CUTOFF, 200.0, 301)
         got = rho_zhu(taus, params)
         want = np.array([rho_zhu(float(t), params) for t in taus])
         assert type(rho_zhu(1.0, params)) is float
@@ -225,11 +235,11 @@ class TestArrayContract:
         assert np.array_equal(grid.ravel().view(np.int64), want.view(np.int64))
 
     def test_mixed_array_substitutes_only_small_taus(self, params):
-        taus = np.array([1.0, 1e-7, 1e-3, 5e-8, 0.1])
+        taus = np.array([1.0, 1e-17, 1e-3, 5e-18, 0.1])
         with pytest.warns(SmallTauSubstitution, match="2 of 5"):
             got = rho_zhu(taus, params)
-        assert got[1] == rho_zhu_asymptote(1e-7, params)
-        assert got[3] == rho_zhu_asymptote(5e-8, params)
+        assert got[1] == rho_zhu_asymptote(1e-17, params)
+        assert got[3] == rho_zhu_asymptote(5e-18, params)
         for k in (0, 2, 4):
             assert got[k] == rho_zhu(float(taus[k]), params)
 
@@ -241,15 +251,16 @@ class TestArrayContract:
             rho_zhu(bad, params)
 
     def test_nonfinite_kernel_node_reported(self):
+        # no RuntimeWarning escapes the table: pytest turns one into an error
         p = MarketParams(r=0.1, sigma=1e-160, strike=100.0)  # gamma overflows
-        with np.errstate(all="ignore"), pytest.raises(QuadratureNodeError) as err:
+        with pytest.raises(QuadratureNodeError) as err:
             rho_zhu(np.array([0.5, 1.0]), p)
         assert err.value.abscissa == pytest.approx(1e-6)
 
 
 class TestKernelTable:
     """The tau-free kernel row is tabulated once per market and shared by
-    every later call."""
+    every later call of rho_zhu and zhu_second_derivative."""
 
     TAUS = np.array([1e-3, 0.02, 0.4, 1.0, 5.0])
 
@@ -262,10 +273,20 @@ class TestKernelTable:
         _tabulated_kernel.cache_clear()
         assert rho_zhu(1.0, params) == want[3]  # a cold table gives the same bits
 
+    def test_one_table_for_rho_and_its_second_derivative(self, params):
+        _tabulated_kernel.cache_clear()
+        taus = (1e-16, 1e-12, 5e-7, 1e-3, 1.0, 5.0)
+        rho_zhu(np.array(taus), params)
+        for tau in taus:
+            rho_zhu(tau, params, QuadratureConfig(finite_subintervals=4))
+            if tau > 1e-16:
+                zhu_second_derivative(tau, params)
+        info = _tabulated_kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
     def test_tables_are_read_only(self, params):
         rho_zhu(1.0, params)
-        z_gauss = 8.0 / (params.sigma * math.sqrt(SMALL_TAU_CUTOFF))
-        kernel, q, *_ = _tabulated_kernel(params, QuadratureConfig(), z_gauss, 0)
+        kernel, q, *_ = _tabulated_kernel(params)
         for row in (kernel, q):
             assert not row.flags.writeable
             with pytest.raises(ValueError):
@@ -274,10 +295,9 @@ class TestKernelTable:
     def test_non_finite_kernel_raised_on_every_call(self):
         p = MarketParams(r=0.1, sigma=1e-160, strike=100.0)  # gamma overflows
         before = _tabulated_kernel.cache_info()
-        with np.errstate(all="ignore"):
-            for _ in range(2):
-                with pytest.raises(QuadratureNodeError):
-                    rho_zhu(1.0, p)
+        for _ in range(2):
+            with pytest.raises(QuadratureNodeError):
+                rho_zhu(1.0, p)
         after = _tabulated_kernel.cache_info()
         # both calls tabulated afresh, and the failure left no table behind
         assert (after.hits, after.misses, after.currsize) == (
@@ -294,37 +314,40 @@ class TestTailBound:
     @pytest.mark.parametrize("sigma", [0.05, 1.5])
     def test_accepted_near_cutoff_at_default_tolerance(self, sigma):
         p = MarketParams(r=0.05 * sigma**2, sigma=sigma, strike=100.0)
-        vals = rho_zhu(np.array([1.01e-6, 1.5e-6, 2e-6]), p)
+        vals = rho_zhu(np.array([1e-16, 1.5e-16, 2e-16]), p)
         assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) < 0)
 
     def test_second_derivative_accepted_near_cutoff(self):
         p = MarketParams(r=0.05 * 0.05**2, sigma=0.05, strike=100.0)
-        # below the cutoff the grid reaches this tau's own Gaussian cutoff
-        for tau in (1e-7, 1.01e-6, 2e-6):
+        # the one grid reaches far enough for the (a^2+zeta^2)^2 growth too
+        for tau in (1e-14, 1e-10, 1e-8, 1e-7, 1.01e-6, 2e-6):
             assert zhu_second_derivative(tau, p) > 0.0
 
     def test_tight_tolerance_rejected(self, params):
-        tight = QuadratureConfig(root_tol=1e-30)
-        with pytest.raises(TailTooHeavyError):
-            rho_zhu(1.01e-6, params, tight)
-        with pytest.raises(TailTooHeavyError):
-            zhu_second_derivative(1.01e-6, params, tight)
+        tight = QuadratureConfig(root_tol=1e-40)
+        with pytest.raises(TailTooHeavyError) as err:
+            rho_zhu(1e-16, params, tight)
+        msg = str(err.value)
+        assert "tau=1e-16" in msg and "Z=3.66667e+09" in msg and "1.0e-39" in msg
+        assert "increase" not in msg
+        # at the cutoff the (a^2+zeta^2)^2 growth outruns the damping at Z
+        with pytest.raises(TailTooHeavyError, match="tau=1e-16"):
+            zhu_second_derivative(1e-16, params)
 
     def test_every_tau_checked(self, params):
-        tight = QuadratureConfig(root_tol=1e-30)
+        tight = QuadratureConfig(root_tol=1e-40)
         # far from the cutoff the damped integrand underflows before Z
         assert np.all(np.isfinite(rho_zhu(np.array([1.0, 5.0]), params, tight)))
-        with pytest.raises(TailTooHeavyError, match="tau=1.01e-06"):
-            rho_zhu(np.array([1.0, 5.0, 1.01e-6]), params, tight)
+        with pytest.raises(TailTooHeavyError, match="tau=1e-16"):
+            rho_zhu(np.array([1.0, 5.0, 1e-16]), params, tight)
 
 
 ORACLE_GAMMAS = (0.005, 0.0125, 0.0167821, 0.033, 1.0, 2.22, 17.8, 60.0)
 ORACLE_SIGMAS = (0.05, 0.15, 0.3, 0.8, 1.5)
 ORACLE_TAUS = (1e-3, 0.1, 5.0, 200.0)
-#: the Newton-Cotes oracle needs ~1/(sigma sqrt(tau)) nodes, so the taus next
-#: to the cutoff run for every gamma at the largest sigma and for every sigma
-#: at gamma0
-NEAR_CUTOFF_TAUS = (1.01e-6, 1e-5)
+#: the Newton-Cotes oracle needs ~1/(sigma sqrt(tau)) nodes, so its smallest
+#: taus run for every gamma at the largest sigma and for every sigma at gamma0
+SMALL_ORACLE_TAUS = (1.01e-6, 1e-5)
 
 
 @pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
@@ -336,7 +359,7 @@ def test_against_newton_cotes_oracle(gamma, sigma):
     p = MarketParams(r=0.5 * gamma * sigma**2, sigma=sigma, strike=100.0)
     taus = ORACLE_TAUS
     if sigma == ORACLE_SIGMAS[-1] or gamma == ORACLE_GAMMAS[2]:
-        taus = NEAR_CUTOFF_TAUS + taus
+        taus = SMALL_ORACLE_TAUS + taus
     got = rho_zhu(np.array(taus), p)
     for k, tau in enumerate(taus):
         want = oracles.rho_zhu_newton_cotes(tau, p)
