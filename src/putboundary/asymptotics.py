@@ -3,7 +3,8 @@
 Each formula is valid only while its logarithm argument stays below one;
 past that point the square root turns complex and the boundary estimate is
 meaningless, so every function raises DomainError instead of returning a
-non-monotone value.  All of them satisfy rho(tau) -> strike as tau -> 0+.
+non-monotone value, as it does for a value outside (0, E], where no
+boundary lies.  All of them satisfy rho(tau) -> strike as tau -> 0+.
 
 Shared notation for strike E, rate r, volatility sigma:
 
@@ -38,6 +39,14 @@ __all__ = [
 def _check_tau(tau: float):
     if not (tau > 0 and math.isfinite(tau)):
         raise DomainError(f"tau must be positive and finite, got {tau}")
+
+
+def _in_range(method: str, tau: float, p: MarketParams, rho: float) -> float:
+    """rho where it lies in (0, E], the range of a boundary; DomainError
+    naming the method, tau and rho elsewhere."""
+    if not 0.0 < rho <= p.strike:
+        raise DomainError(f"{method} formula leaves (0, E] at tau={tau:g}: rho={rho:.6g}")
+    return rho
 
 
 def _log_eta_argument(tau, p: MarketParams, xp=math):
@@ -83,7 +92,8 @@ def rho_kk(tau: float, p: MarketParams) -> float:
     arg = (2.0 * p.r / p.sigma) * math.sqrt(9.0 * math.pi * tau / 2.0)
     if arg >= 1.0:
         raise DomainError(f"kk formula undefined: log argument {arg:.6g} >= 1")
-    return p.strike * (1.0 - p.sigma * math.sqrt(2.0 * tau) * math.sqrt(-math.log(arg)))
+    rho = p.strike * (1.0 - p.sigma * math.sqrt(2.0 * tau) * math.sqrt(-math.log(arg)))
+    return _in_range("kk", tau, p, rho)
 
 
 def rho_ekk(tau: float, p: MarketParams) -> float:
@@ -92,7 +102,8 @@ def rho_ekk(tau: float, p: MarketParams) -> float:
     arg = (2.0 * p.r / p.sigma) * math.sqrt(2.0 * math.pi * tau)
     if arg >= 1.0:
         raise DomainError(f"ekk formula undefined: log argument {arg:.6g} >= 1")
-    return p.strike * (1.0 - p.sigma * math.sqrt(2.0 * tau) * math.sqrt(-math.log(arg)))
+    rho = p.strike * (1.0 - p.sigma * math.sqrt(2.0 * tau) * math.sqrt(-math.log(arg)))
+    return _in_range("ekk", tau, p, rho)
 
 
 def rho_ssc_analytic(tau: float, p: MarketParams) -> float:
@@ -115,9 +126,8 @@ def rho_zhu_asymptote(tau: float, p: MarketParams) -> float:
     _check_tau(tau)
     if tau >= 1.0:
         raise DomainError(f"asymptote needs tau < 1, got {tau}")
-    return p.strike * (
-        1.0 - p.sigma / math.sqrt(2.0 * math.pi) * math.sqrt(tau) * (-math.log(tau))
-    )
+    rho = p.strike * (1.0 - p.sigma / math.sqrt(2.0 * math.pi) * math.sqrt(tau) * -math.log(tau))
+    return _in_range("zhu-asymptote", tau, p, rho)
 
 
 def _chen_chadam_alpha(xi: float) -> float:
@@ -151,7 +161,8 @@ def rho_chen_chadam(tau: float, p: MarketParams) -> float:
     alpha = _chen_chadam_alpha(xi)
     if alpha <= 0.0:
         raise DomainError(f"series gave non-positive alpha={alpha:.6g} at xi={xi:.6g}")
-    return p.strike * math.exp(-p.sigma * math.sqrt(2.0 * tau * alpha))
+    rho = p.strike * math.exp(-p.sigma * math.sqrt(2.0 * tau * alpha))
+    return _in_range("chen-chadam", tau, p, rho)
 
 
 #: the five closed forms by command-line name, in the command line's order

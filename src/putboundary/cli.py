@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .asymptotics import CLOSED_FORMS
-from .core import DomainError, MarketParams, NumericalError, QuadratureConfig
+from .core import DomainError, MarketParams, NumericalError
 from .pricing import boundary_rel_err, mispricing_err
 from .psor import PsorConfig, extract_boundary, psor_solve
 from .ssch import MeshKind, solve_boundary
@@ -235,9 +235,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gamma0(args) -> int:
-    cfg = QuadratureConfig()
-    g0 = gamma_critical(cfg)
-    peak = f2_max(g0, cfg)
+    g0 = gamma_critical()
+    peak = f2_max(g0)
     if abs(peak - math.pi) > 1e-5:
         raise NumericalError(
             f"self-check failed: f2_max(gamma0) = {peak!r} deviates from pi"

@@ -24,7 +24,6 @@ __all__ = [
     "MarketParams",
     "TauGrid",
     "BoundaryCurve",
-    "QuadratureConfig",
     "norm_cdf",
     "find_root_bracketed",
 ]
@@ -65,7 +64,7 @@ class MarketParams:
 
     The derived quantities gamma = 2r/sigma^2, a = (1+gamma)/2 and
     b = (1-gamma)/2 recur in every formula; they satisfy a - b = gamma
-    and a + b = 1.
+    and a + b = 1.  A market whose a^2 overflows is a DomainError.
     """
 
     r: float
@@ -79,6 +78,8 @@ class MarketParams:
             raise DomainError(f"volatility must be positive, got {self.sigma}")
         if not self.sigma**2 > 0:
             raise DomainError(f"volatility {self.sigma} too small: sigma^2 underflows to 0")
+        if not math.isfinite(self.a * self.a):
+            raise DomainError(f"gamma = 2r/sigma^2 = {self.gamma:g} too large: a^2 overflows")
         if not (self.strike > 0 and math.isfinite(self.strike)):
             raise DomainError(f"strike must be positive, got {self.strike}")
 
@@ -164,29 +165,12 @@ class BoundaryCurve:
         return self.value(tau)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the quadrature and root-finding kernels.
-
-    finite_subintervals must be a multiple of 4 because the composite rule
-    consumes panels of four subintervals (closed five-point Newton-Cotes).
-    """
-
-    finite_subintervals: int = 1000
-    root_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.finite_subintervals < 4 or self.finite_subintervals % 4 != 0:
-            raise DomainError(
-                f"finite_subintervals must be >= 4 and divisible by 4, got {self.finite_subintervals}"
-            )
-        if not (self.root_tol > 0 and self.max_iter > 0):
-            raise DomainError("tolerances and iteration caps must be positive")
-
-
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
+
+#: find_root_bracketed's tolerance on |g| and its iteration cap
+_ROOT_TOL = 1e-10
+_MAX_ITER = 200
 
 
 def norm_cdf(x):
@@ -225,15 +209,16 @@ def _eval_on_nodes(f, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def find_root_bracketed(g, lo: float, hi: float, cfg: QuadratureConfig) -> float:
+def find_root_bracketed(g, lo: float, hi: float) -> float:
     """Brent's (1973) safeguarded secant on [lo, hi]; deterministic for fixed inputs.
 
     Requires a sign change on the bracket.  Each step takes an inverse
     quadratic or secant step, and bisects instead when that step would
     leave the bracket or shrink it too slowly, or when an endpoint value is
     infinite.  Returns the end of the bracket with the smaller |g| once
-    that |g| is at most root_tol/2 or the bracket is narrower than
-    root_tol/1000, and raises MaxIterationsError if the cap is hit first.
+    that |g| is at most _ROOT_TOL/2 or the bracket is narrower than
+    _ROOT_TOL/1000, and raises MaxIterationsError if _MAX_ITER steps do not
+    get there.
     """
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -248,13 +233,13 @@ def find_root_bracketed(g, lo: float, hi: float, cfg: QuadratureConfig) -> float
     # b is the best estimate, c the other end of the bracket, a the previous b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5e-3 * cfg.root_tol
+        tol = 2.0 * _EPS * abs(b) + 0.5e-3 * _ROOT_TOL
         half = 0.5 * (c - b)
-        if abs(fb) <= 0.5 * cfg.root_tol or abs(half) <= tol:
+        if abs(fb) <= 0.5 * _ROOT_TOL or abs(half) <= tol:
             return b
         if abs(e) >= tol and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
             s = fb / fa
@@ -280,5 +265,5 @@ def find_root_bracketed(g, lo: float, hi: float, cfg: QuadratureConfig) -> float
             c, fc = a, fa
             d = e = b - a
     raise MaxIterationsError(
-        f"root search did not reach |g| <= {0.5 * cfg.root_tol:g} in {cfg.max_iter} iterations"
+        f"root search did not reach |g| <= {0.5 * _ROOT_TOL:g} in {_MAX_ITER} iterations"
     )

@@ -33,7 +33,6 @@ import numpy as np
 from .core import (
     DomainError,
     MarketParams,
-    QuadratureConfig,
     _boole_weights,
     _eval_on_nodes,
     norm_cdf,
@@ -47,6 +46,10 @@ __all__ = [
     "mispricing_err",
     "boundary_rel_err",
 ]
+
+
+#: subintervals of the Boole rule in s = sqrt(tau - xi)
+_GAP_SUBINTERVALS = 1000
 
 
 class DegenerateDenominatorError(DomainError):
@@ -75,27 +78,14 @@ def _check_positive_finite(name: str, value: float):
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
-def price_gap_at_boundary(
-    rho,
-    rho_app,
-    tau: float,
-    p: MarketParams,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def price_gap_at_boundary(rho, rho_app, tau: float, p: MarketParams) -> float:
     """Price shortfall at the true boundary point from holding rho_app:
     price_gap_full at S = rho(tau)."""
     _check_positive_finite("tau", tau)
-    return price_gap_full(rho, rho_app, float(rho(tau)), tau, p, cfg)
+    return price_gap_full(rho, rho_app, float(rho(tau)), tau, p)
 
 
-def price_gap_full(
-    rho,
-    rho_app,
-    S: float,
-    tau: float,
-    p: MarketParams,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def price_gap_full(rho, rho_app, S: float, tau: float, p: MarketParams) -> float:
     """Price difference at spot S from holding rho_app instead of rho.
 
     r E int_0^tau e^{-r(tau-xi)} |N(gamma_app) - N(gamma)| dxi with the
@@ -108,8 +98,7 @@ def price_gap_full(
     """
     _check_positive_finite("tau", tau)
     _check_positive_finite("price", S)
-    cfg = cfg or QuadratureConfig()
-    n = cfg.finite_subintervals
+    n = _GAP_SUBINTERVALS
     drift = p.r - 0.5 * p.sigma**2
 
     smax = math.sqrt(tau)
@@ -129,13 +118,7 @@ def price_gap_full(
     return p.r * p.strike * float(np.dot(w, vals))
 
 
-def mispricing_err(
-    rho,
-    rho_app,
-    tau: float,
-    p: MarketParams,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def mispricing_err(rho, rho_app, tau: float, p: MarketParams) -> float:
     """Price gap at the boundary normalised by the early-exercise premium.
 
     The denominator uses the exact contact value V_true(boundary) = E - rho
@@ -149,7 +132,7 @@ def mispricing_err(
         raise DegenerateDenominatorError(
             f"early-exercise premium {denom:.3e} at tau={tau:g} too small to normalise by"
         )
-    return price_gap_full(rho, rho_app, rho_tau, tau, p, cfg) / denom
+    return price_gap_full(rho, rho_app, rho_tau, tau, p) / denom
 
 
 def boundary_rel_err(rho, rho_app, tau: float) -> float:

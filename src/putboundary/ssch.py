@@ -43,8 +43,8 @@ from .core import (
     DomainError,
     MarketParams,
     NumericalError,
-    QuadratureConfig,
     TauGrid,
+    _ROOT_TOL,
     _boole_weights,
     find_root_bracketed,
 )
@@ -71,6 +71,9 @@ BRACKET_DOUBLINGS = 8
 
 #: Newton steps _solve_node takes before it falls back to the bracket
 _NEWTON_STEPS = 4
+
+#: subintervals of the Boole rule in theta on [0, pi/2]
+_THETA_SUBINTERVALS = 1000
 
 
 class MeshKind(enum.Enum):
@@ -127,23 +130,25 @@ def _sample(taus: np.ndarray, etas: np.ndarray, i: int, s: np.ndarray, p: Market
     return base, slope
 
 
-@functools.lru_cache(maxsize=64)
-def _theta_nodes(n: int):
+@functools.cache
+def _theta_nodes():
     """Closed Newton-Cotes nodes on [0, pi/2] as the trig factors sin, cos
-    and tan reused by every integrand evaluation, plus the weights.
+    and tan reused by every integrand evaluation, plus the weights; built on
+    first use.
 
     The endpoint node is shifted to pi/2 - eps: the F integrand's
     G tan(theta) factor is an indeterminate 0 * inf exactly at pi/2, but
     approaches a finite one-sided limit, so the shifted node supplies the
     endpoint value.
     """
+    n = _THETA_SUBINTERVALS
     theta = np.linspace(0.0, math.pi / 2.0, n + 1)
     theta[-1] = math.pi / 2.0 - (math.pi / 2.0) / (10.0 * n)
     w = _boole_weights(n) * (2.0 * (math.pi / 2.0 / n) / 45.0)
     return np.sin(theta), np.cos(theta), np.tan(theta), w
 
 
-def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig):
+def _f_of_eta(tau_i: float, base, slope, p: MarketParams):
     """The integral F at node tau_i and its slope dF/deta_i, as a function
     of the trial value eta_i, for the path
     eta(tau_i sin^2 theta) = base + slope * eta_i sampled at the quadrature
@@ -158,7 +163,7 @@ def _f_of_eta(tau_i: float, base, slope, p: MarketParams, cfg: QuadratureConfig)
     """
     if not (tau_i > 0 and math.isfinite(tau_i)):
         raise DomainError(f"tau_i must be positive, got {tau_i}")
-    st, ct, tt, w = _theta_nodes(cfg.finite_subintervals)
+    st, ct, tt, w = _theta_nodes()
     P = (1.0 - slope * st) / ct
     Q = -base * st / ct
     damping = -p.r * tau_i * ct * ct
@@ -214,9 +219,7 @@ def _newton(h_and_slope, eta: float, tol: float) -> float | None:
     return eta if abs(h) <= tol else None
 
 
-def _solve_node(
-    taus: np.ndarray, etas: np.ndarray, i: int, p: MarketParams, cfg: QuadratureConfig
-) -> float:
+def _solve_node(taus: np.ndarray, etas: np.ndarray, i: int, p: MarketParams) -> float:
     """Value of eta at mesh node i >= 2, given the path etas[1:i] solved so
     far; etas[i:] is not read.
 
@@ -224,7 +227,7 @@ def _solve_node(
     H(eta) = eta^2 + ln A(eta) = 0 by Newton steps on the analytic slope
     H' = 2 eta - F'/(sqrt(pi) - F), from the linear extrapolation
     2 eta_{i-1} - eta_{i-2} of the two nodes before (the previous value at
-    node 2), and accepts a point with |H| <= root_tol/2, the stop of the
+    node 2), and accepts a point with |H| <= _ROOT_TOL/2, the stop of the
     bracketed root finder.  If ln A is -inf, a step does not shrink |H| or
     _NEWTON_STEPS steps do not converge, the bracketed root finder takes
     over, on a bracket of half-width 0.05 around the previous node's value
@@ -232,8 +235,8 @@ def _solve_node(
     change.
     """
     tau_i = float(taus[i])
-    st = _theta_nodes(cfg.finite_subintervals)[0]
-    F = _f_of_eta(tau_i, *_sample(taus, etas, i, tau_i * st * st, p), p, cfg)
+    st = _theta_nodes()[0]
+    F = _f_of_eta(tau_i, *_sample(taus, etas, i, tau_i * st * st, p), p)
     log_c = _log_eta_argument(tau_i, p) - math.log(2.0)
 
     @functools.cache
@@ -248,7 +251,7 @@ def _solve_node(
 
     prev = float(etas[i - 1])
     start = 2.0 * prev - float(etas[i - 2]) if i > 2 else prev
-    eta = _newton(h_and_slope, start, 0.5 * cfg.root_tol)
+    eta = _newton(h_and_slope, start, 0.5 * _ROOT_TOL)
     if eta is not None:
         return eta
 
@@ -266,8 +269,8 @@ def _solve_node(
             f"node {i} (tau={tau_i:g}): no sign change of eta^2 + ln A on [{lo:.6g}, {hi:.6g}]"
         )
 
-    eta = find_root_bracketed(H, lo, hi, cfg)
-    if not abs(H(eta)) <= cfg.root_tol:
+    eta = find_root_bracketed(H, lo, hi)
+    if not abs(H(eta)) <= _ROOT_TOL:
         raise LogDomainError(
             f"node {i} (tau={tau_i:g}): converged point invalid, residual {H(eta)!r}"
         )
@@ -279,7 +282,6 @@ def solve_boundary(
     T: float,
     m: int,
     mesh: MeshKind = MeshKind.QUADRATIC,
-    cfg: QuadratureConfig | None = None,
 ) -> BoundaryCurve:
     """Whole boundary curve on [0, T] by the sequential node-by-node solve.
 
@@ -287,14 +289,13 @@ def solve_boundary(
     rho_i = E exp(-(r - sigma^2/2) tau_i + sigma sqrt(2 tau_i) eta_i).
     Failures carry the index of the offending node.
     """
-    cfg = cfg or QuadratureConfig()
     grid = build_mesh(T, m, mesh, p)
     taus = grid.taus
     etas = np.full(m + 1, math.nan)  # node 0 carries no unknown
     etas[1] = eta_lowest_order(float(taus[1]), p)
     for i in range(2, m + 1):
         try:
-            etas[i] = _solve_node(taus, etas, i, p, cfg)
+            etas[i] = _solve_node(taus, etas, i, p)
         except NumericalError as exc:
             raise type(exc)(f"boundary solve failed at node {i}: {exc}") from exc
     rhos = np.empty(m + 1)

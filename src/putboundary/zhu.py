@@ -29,7 +29,6 @@ from .asymptotics import rho_zhu_asymptote
 from .core import (
     DomainError,
     MarketParams,
-    QuadratureConfig,
     QuadratureNodeError,
     TailTooHeavyError,
     find_root_bracketed,
@@ -53,6 +52,9 @@ _ZETA_MIN = 1e-6
 
 #: trapezoid nodes in s = ln zeta; the rule has converged to rounding on them
 _NODES = 300
+
+#: largest accepted bound on the integrand's tail beyond the last node Z
+_TAIL_ALLOWANCE = 1e-9
 
 
 class SmallTauSubstitution(UserWarning):
@@ -81,17 +83,17 @@ def zhu_kernels(zeta, p: MarketParams):
     return (float(f1), float(f2)) if z.ndim == 0 else (f1, f2)
 
 
-def _check_tail(near, far, z: float, taus: np.ndarray, cfg: QuadratureConfig):
+def _check_tail(near, far, z: float, taus: np.ndarray):
     # near, far = |f| at Z and 1.1 Z; past Z, f decays at the rate seen between them
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.log(near / far) / (0.1 * z)
         tail = np.where(far < near, near / rate, np.where(far == 0.0, 0.0, np.inf))
-    bad = ~(tail < 10.0 * cfg.root_tol)
+    bad = ~(tail < _TAIL_ALLOWANCE)
     if bad.any():
         i = int(np.argmax(bad))
         raise TailTooHeavyError(
             f"at tau={taus[i]:g} the integrand's tail beyond Z={z:g} is bounded by "
-            f"{tail[i]:.3e}, over the {10 * cfg.root_tol:.1e} allowed"
+            f"{tail[i]:.3e}, over the {_TAIL_ALLOWANCE:.1e} allowed"
         )
 
 
@@ -124,9 +126,7 @@ def _tabulated_kernel(p: MarketParams):
     return kernel, q, float(zeta[-2]), float(g[-2]), float(g[-1])
 
 
-def _damped_integral(
-    taus: np.ndarray, p: MarketParams, cfg: QuadratureConfig, power: int
-) -> np.ndarray:
+def _damped_integral(taus: np.ndarray, p: MarketParams, power: int) -> np.ndarray:
     """int_0^inf zeta (a^2+zeta^2)^(power-1) e^{-tau sigma^2/2 (a^2+zeta^2)}
     e^{-f1} sin f2 dzeta for each tau, by the trapezoid rule in s = ln zeta.
 
@@ -139,11 +139,11 @@ def _damped_integral(
     if power:  # (a^2+zeta^2)^power goes in the exponent, where it cannot overflow
         expo += power * np.log(q)
     damp = np.exp(expo)
-    _check_tail(np.abs(g_near * damp[:, -2]), np.abs(g_far * damp[:, -1]), z, taus, cfg)
+    _check_tail(np.abs(g_near * damp[:, -2]), np.abs(g_far * damp[:, -1]), z, taus)
     return np.sum(kernel * damp[:, :-1], axis=-1)
 
 
-def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
+def rho_zhu(tau, p: MarketParams):
     """Boundary level from the closed integral formula, at a scalar tau or
     elementwise on an array of taus.
 
@@ -153,13 +153,12 @@ def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
     grid, so the small-tau asymptote takes those elements and one
     SmallTauSubstitution warning flags them.  Raises DomainError for any tau
     <= 0, NaN or inf and TailTooHeavyError when the truncated tail of any tau
-    exceeds 10 * cfg.root_tol.
+    exceeds _TAIL_ALLOWANCE.
     """
     t = np.asarray(tau, dtype=float).ravel()
     ok = (t > 0) & np.isfinite(t)
     if not ok.all():
         raise DomainError(f"tau must be positive and finite, got {t[~ok][0]}")
-    cfg = cfg or QuadratureConfig()
     small = t < SMALL_TAU_CUTOFF
     out = np.empty_like(t)
     if small.any():
@@ -171,14 +170,12 @@ def rho_zhu(tau, p: MarketParams, cfg: QuadratureConfig | None = None):
         )
         out[small] = [rho_zhu_asymptote(float(x), p) for x in t[small]]
     if not small.all():
-        integral = _damped_integral(t[~small], p, cfg, power=0)
+        integral = _damped_integral(t[~small], p, power=0)
         out[~small] = p.perpetual_boundary + (2.0 * p.strike / math.pi) * integral
     return float(out[0]) if np.ndim(tau) == 0 else out.reshape(np.shape(tau))
 
 
-def zhu_second_derivative(
-    tau: float, p: MarketParams, cfg: QuadratureConfig | None = None
-) -> float:
+def zhu_second_derivative(tau: float, p: MarketParams) -> float:
     """d^2 rho / d tau^2 of the integral formula.
 
     Differentiating under the integral sign twice multiplies the integrand
@@ -193,12 +190,11 @@ def zhu_second_derivative(
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise DomainError(f"tau must be positive and finite, got {tau}")
-    cfg = cfg or QuadratureConfig()
-    integral = float(_damped_integral(np.array([tau]), p, cfg, power=2)[0])
+    integral = float(_damped_integral(np.array([tau]), p, power=2)[0])
     return (2.0 * p.strike * p.sigma**4 / (4.0 * math.pi)) * integral
 
 
-def f2_max(gamma: float, cfg: QuadratureConfig | None = None) -> float:
+def f2_max(gamma: float) -> float:
     """Maximum of f2(zeta; gamma) over zeta > 0.
 
     A coarse logarithmic scan (512 points across [1e-6, 1e6]) brackets the
@@ -208,12 +204,11 @@ def f2_max(gamma: float, cfg: QuadratureConfig | None = None) -> float:
         N = zeta lg - b arctan(zeta/a),  N' = lg + (zeta^2 - ab)/(a^2 + zeta^2),
 
     with lg = ln(sqrt(a^2 + zeta^2)/gamma).  g is scale-free, so the root
-    finder's absolute stop |g| <= root_tol/2 means the same at every gamma;
+    finder's absolute stop on |g| means the same at every gamma;
     on the plain slope f2' it stops short of the broad peaks of large gamma.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise DomainError(f"gamma must be positive, got {gamma}")
-    cfg = cfg or QuadratureConfig()
     # 2 * (gamma/2) / 1^2 == gamma exactly, so the kernels see this gamma
     p = MarketParams(r=0.5 * gamma, sigma=1.0, strike=1.0)
     zs = np.geomspace(1e-6, 1e6, 512)
@@ -227,19 +222,18 @@ def f2_max(gamma: float, cfg: QuadratureConfig | None = None) -> float:
         return z * (lg + (z * z - a * b) / q) / n - 2.0 * z * z / (b * b + z * z)
 
     lo, hi = float(zs[max(i - 1, 0)]), float(zs[min(i + 1, zs.size - 1)])
-    return zhu_kernels(find_root_bracketed(log_slope, lo, hi, cfg), p)[1]
+    return zhu_kernels(find_root_bracketed(log_slope, lo, hi), p)[1]
 
 
-def gamma_critical(cfg: QuadratureConfig | None = None) -> float:
+def gamma_critical() -> float:
     """Smallest gamma with max_zeta f2(zeta; gamma) <= pi.
 
     f2's maximum decreases in gamma, so this is the root of
     f2_max(gamma) - pi on (1e-4, 1), found by the bracketed root finder in
     ln gamma, since the bracket spans four decades.
     """
-    cfg = cfg or QuadratureConfig()
 
     def g(u: float) -> float:
-        return f2_max(math.exp(u), cfg) - math.pi
+        return f2_max(math.exp(u)) - math.pi
 
-    return math.exp(find_root_bracketed(g, math.log(1e-4), 0.0, cfg))
+    return math.exp(find_root_bracketed(g, math.log(1e-4), 0.0))

@@ -57,10 +57,9 @@ def refine_integral(f, a: float, b: float, max_n: int = 1 << 20) -> float:
     return float(prev)
 
 
-def integrate_newton_cotes(f, a: float, b: float, cfg) -> float:
+def integrate_newton_cotes(f, a: float, b: float, n: int = 1000) -> float:
     """Composite closed fourth-degree Newton-Cotes (Boole) rule on [a, b]
-    with cfg.finite_subintervals subintervals, on the package's Boole
-    weights.
+    with n subintervals, a multiple of 4, on the package's Boole weights.
 
     Exact for polynomials of degree <= 5 on each panel.  Raises
     QuadratureNodeError naming the offending abscissa if the integrand
@@ -77,7 +76,6 @@ def integrate_newton_cotes(f, a: float, b: float, cfg) -> float:
         raise DomainError(f"invalid interval [{a}, {b}]")
     if a == b:
         return 0.0
-    n = cfg.finite_subintervals
     x = np.linspace(a, b, n + 1)
     y = _eval_on_nodes(f, x)
     bad = ~np.isfinite(y)
@@ -133,7 +131,7 @@ def price_transform_consts(p) -> tuple[float, float]:
     return alpha_p, beta_p
 
 
-def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
+def price_gap_full_rows(rho, rho_app, S, tau, p, n: int = 1000) -> float:
     """The price gap at spot S as the double heat-kernel integral
 
         r E int_0^tau | int_{ln(rho_app(xi)/E)}^{ln(rho(xi)/E)}
@@ -143,14 +141,12 @@ def price_gap_full_rows(rho, rho_app, S, tau, p, cfg=None) -> float:
     Boole's rule), each inner integral by Boole's rule on its own
     np.linspace grid.  The package collapses the inner integral to a
     difference of normal CDFs; this route integrates the kernel numerically,
-    so it converges to the package's value as cfg.finite_subintervals grows.
+    so it converges to the package's value as the subinterval count n grows.
     Both curves are evaluated on the n nodes before expiry; the last node
     is expiry, xi = 0, where each equals the strike.
     """
-    from putboundary.core import QuadratureConfig, _boole_weights, _eval_on_nodes
+    from putboundary.core import _boole_weights, _eval_on_nodes
 
-    cfg = cfg or QuadratureConfig()
-    n = cfg.finite_subintervals
     E = p.strike
     alpha_p, beta_p = price_transform_consts(p)
     x = math.log(S / E)
@@ -211,20 +207,16 @@ def _zhu_integrand_nc(p, tau: float):
     return f
 
 
-def _integrate_semi_infinite_nc(f, z: float, n: int, cfg, block: int = 1 << 18) -> float:
+def _integrate_semi_infinite_nc(f, z: float, n: int, tol: float, block: int = 1 << 18) -> float:
     """Composite Newton-Cotes on [0, z] with n subintervals, in blocks of at
     most `block` subintervals so ~1e7 nodes never sit in memory at once,
-    plus the tail bound from |f| at z and 1.1 z."""
-    from dataclasses import replace
-
+    plus the tail bound from |f| at z and 1.1 z, which must stay below tol."""
     from putboundary.core import TailTooHeavyError
 
     result = 0.0
     for k0 in range(0, n, block):
         k1 = min(n, k0 + block)
-        result += integrate_newton_cotes(
-            f, z * k0 / n, z * k1 / n, replace(cfg, finite_subintervals=k1 - k0)
-        )
+        result += integrate_newton_cotes(f, z * k0 / n, z * k1 / n, k1 - k0)
     f0 = abs(float(f(z)))
     f1 = abs(float(f(1.1 * z)))
     if f0 == 0.0 and f1 == 0.0:
@@ -234,7 +226,7 @@ def _integrate_semi_infinite_nc(f, z: float, n: int, cfg, block: int = 1 << 18) 
     else:
         rate = math.log(f0 / f1) / (0.1 * z) if f1 > 0 else math.inf
         tail = f0 / rate if math.isfinite(rate) else 0.0
-    if not tail < 10.0 * cfg.root_tol:
+    if not tail < tol:
         raise TailTooHeavyError(f"tail bound {tail:.3e} beyond Z={z:g}")
     return result
 
@@ -243,32 +235,27 @@ def _integrate_semi_infinite_nc(f, z: float, n: int, cfg, block: int = 1 << 18) 
 _ZHU_NC_TRUNCATION = 50.0
 
 
-def _zhu_nc_grid(p, tau: float, cfg, sigmas: float):
+def _zhu_nc_grid(p, tau: float, n_min: int, sigmas: float):
     # Gaussian damping reaches e^(-sigmas^2/2) at Z = sigmas/(sigma sqrt(tau));
     # resolve the peak near zeta ~ a with a fixed step of 0.02
     z = max(_ZHU_NC_TRUNCATION, sigmas / (p.sigma * math.sqrt(tau)))
-    n = max(cfg.finite_subintervals, 4 * math.ceil(z / (4.0 * 0.02)))
+    n = max(n_min, 4 * math.ceil(z / (4.0 * 0.02)))
     return z, n
 
 
-def rho_zhu_newton_cotes(tau: float, p, cfg=None) -> float:
+def rho_zhu_newton_cotes(tau: float, p, n: int = 1000, tol: float = 1e-9) -> float:
     """The integral formula by composite Newton-Cotes in zeta at a fixed
-    step of 0.02 out to 8/(sigma sqrt(tau)): the reference for the
-    log-substituted trapezoid rule in the package (tau >= 1e-6 only)."""
-    from putboundary.core import QuadratureConfig
-
-    cfg = cfg or QuadratureConfig()
-    z, n = _zhu_nc_grid(p, tau, cfg, 8.0)
-    integral = _integrate_semi_infinite_nc(_zhu_integrand_nc(p, tau), z, n, cfg)
+    step of 0.02 (at least n subintervals) out to 8/(sigma sqrt(tau)), with
+    the tail bound below tol: the reference for the log-substituted
+    trapezoid rule in the package (tau >= 1e-6 only)."""
+    z, n = _zhu_nc_grid(p, tau, n, 8.0)
+    integral = _integrate_semi_infinite_nc(_zhu_integrand_nc(p, tau), z, n, tol)
     return p.perpetual_boundary + (2.0 * p.strike / math.pi) * integral
 
 
-def zhu_second_derivative_newton_cotes(tau: float, p, cfg=None) -> float:
+def zhu_second_derivative_newton_cotes(tau: float, p, n: int = 1000, tol: float = 1e-9) -> float:
     """d^2 rho / d tau^2 of the integral formula by the same Newton-Cotes
     rule, out to 11/(sigma sqrt(tau))."""
-    from putboundary.core import QuadratureConfig
-
-    cfg = cfg or QuadratureConfig()
     base = _zhu_integrand_nc(p, tau)
     a = p.a
 
@@ -276,8 +263,8 @@ def zhu_second_derivative_newton_cotes(tau: float, p, cfg=None) -> float:
         z = np.asarray(zeta, dtype=float)
         return (a * a + z * z) ** 2 * base(z)
 
-    z, n = _zhu_nc_grid(p, tau, cfg, 11.0)
-    integral = _integrate_semi_infinite_nc(f, z, n, cfg)
+    z, n = _zhu_nc_grid(p, tau, n, 11.0)
+    integral = _integrate_semi_infinite_nc(f, z, n, tol)
     return (2.0 * p.strike * p.sigma**4 / (4.0 * math.pi)) * integral
 
 
@@ -362,21 +349,21 @@ def psor_brennan_schwartz_levels(p, cfg) -> np.ndarray:
     return U
 
 
-def ssch_bracket_eta_at(taus, etas, i, p, cfg) -> float:
+def ssch_bracket_eta_at(taus, etas, i, p, tol: float = 1e-10) -> float:
     """eta at node i >= 2 of an ssch path with etas[1:i] solved, by the
     bracketed root finder alone: H(eta) = eta^2 + ln A(eta), -inf where
     A <= 0, on a bracket of half-width 0.05 around the previous node's value
     that doubles up to ssch.BRACKET_DOUBLINGS times until it encloses a sign
-    change, then Brent's method.  The reference for the Newton steps of
-    ssch._solve_node."""
+    change, then Brent's method, whose root must leave |H| <= tol.  The
+    reference for the Newton steps of ssch._solve_node."""
     import functools
 
     from putboundary import ssch
     from putboundary.core import BracketError, find_root_bracketed
 
     tau_i = float(taus[i])
-    st = ssch._theta_nodes(cfg.finite_subintervals)[0]
-    F = ssch._f_of_eta(tau_i, *ssch._sample(taus, etas, i, tau_i * st * st, p), p, cfg)
+    st = ssch._theta_nodes()[0]
+    F = ssch._f_of_eta(tau_i, *ssch._sample(taus, etas, i, tau_i * st * st, p), p)
 
     log_c = ssch._log_eta_argument(tau_i, p) - math.log(2.0)
 
@@ -391,24 +378,22 @@ def ssch_bracket_eta_at(taus, etas, i, p, cfg) -> float:
             break
     else:
         raise BracketError(f"node {i}: no sign change on [{lo:.6g}, {hi:.6g}]")
-    eta = find_root_bracketed(H, lo, hi, cfg)
-    if not abs(H(eta)) <= cfg.root_tol:
+    eta = find_root_bracketed(H, lo, hi)
+    if not abs(H(eta)) <= tol:
         raise ssch.LogDomainError(f"node {i}: converged point invalid, residual {H(eta)!r}")
     return eta
 
 
-def ssch_bracket_boundary(p, T: float, m: int, cfg=None) -> np.ndarray:
+def ssch_bracket_boundary(p, T: float, m: int) -> np.ndarray:
     """rho at every node of ssch's quadratic mesh on [0, T]: node 1 from
     the closed small-tau formula, every later node by ssch_bracket_eta_at."""
     from putboundary import ssch
-    from putboundary.core import QuadratureConfig
 
-    cfg = cfg or QuadratureConfig()
     taus = ssch.build_mesh(T, m, ssch.MeshKind.QUADRATIC, p).taus
     etas = np.full(m + 1, math.nan)
     etas[1] = ssch.eta_lowest_order(float(taus[1]), p)
     for i in range(2, m + 1):
-        etas[i] = ssch_bracket_eta_at(taus, etas, i, p, cfg)
+        etas[i] = ssch_bracket_eta_at(taus, etas, i, p)
     taus, etas = taus[1:], etas[1:]
     rhos = p.strike * np.exp(
         -(p.r - 0.5 * p.sigma**2) * taus + p.sigma * np.sqrt(2.0 * taus) * etas

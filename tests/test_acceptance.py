@@ -34,7 +34,6 @@ from putboundary import (
     MarketParams,
     MeshKind,
     PsorConfig,
-    QuadratureConfig,
     boundary_rel_err,
     european_put,
     extract_boundary,
@@ -136,15 +135,14 @@ def test_criterion_02_integral_formula_column(params):
 
 def test_criterion_03_iterative_solver_column(params, ssch_table2_curve):
     """Iterative solve (T=5, quadratic mesh, m=200) +-0.05 up to tau=2 and
-    +-0.1 beyond; the reduced-fidelity smoke profile stays within +-0.3."""
+    +-0.1 beyond; the coarse smoke mesh (m=60) stays within +-0.3."""
     bad = []
     for tau, row in TABLE2.items():
         got = float(ssch_table2_curve.value(tau))
         tol = 0.05 if tau <= 2.0 else 0.1
         if abs(got - row["ssch"]) > tol:
             bad.append(f"full({tau:g})={got:.4f}!={row['ssch']}+-{tol}")
-    smoke_cfg = QuadratureConfig(finite_subintervals=252)  # nearest multiple of 4
-    smoke = solve_boundary(params, 5.0, 60, MeshKind.QUADRATIC, smoke_cfg)
+    smoke = solve_boundary(params, 5.0, 60, MeshKind.QUADRATIC)
     for tau, row in TABLE2.items():
         got = float(smoke.value(tau))
         if abs(got - row["ssch"]) > 0.3:
@@ -296,8 +294,7 @@ def test_criterion_10_oracle_equivalence(params):
     """The closed-form price gap against the double heat-kernel integral of
     the test oracles, the mass of that oracle's kernel, and the CDF oracle."""
     bad = []
-    cfg = QuadratureConfig(finite_subintervals=500)
-    curve = solve_boundary(params, 0.12, 60, cfg=cfg)
+    curve = solve_boundary(params, 0.12, 60)
     app = lambda t: params.strike if t == 0.0 else rho_zhu_asymptote(t, params)
     for tau in (0.001, 0.01, 0.1):
         S = float(curve.value(tau))
@@ -305,11 +302,10 @@ def test_criterion_10_oracle_equivalence(params):
         direct = price_gap_at_boundary(curve, app, tau, params)
         if abs(full - direct) > 1e-6 * params.strike:
             bad.append(f"gap routes differ by {abs(full - direct):.2e} at tau={tau}")
-    qcfg = QuadratureConfig(finite_subintervals=4000)
     for tau in (0.01, 0.1, 1.0):
         width = 10.0 * params.sigma * math.sqrt(tau)
         total = oracles.integrate_newton_cotes(
-            lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, qcfg
+            lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, 4000
         )
         if abs(total - 1.0) > 1e-10:
             bad.append(f"kernel mass {total!r} at tau={tau}")

@@ -134,6 +134,23 @@ class TestValidityDomains:
         with pytest.raises(DomainError, match=re.escape(f"tau={tau:g}:")):
             rho_ssc_analytic(tau, p)
 
+    @pytest.mark.parametrize(
+        "fn, name, r, sigma, tau, rho",
+        [
+            (rho_kk, "kk", 0.005, 0.8, 5.0, "-279.718"),
+            (rho_ekk, "ekk", 0.005, 0.8, 5.0, "-312.475"),
+            (rho_zhu_asymptote, "zhu-asymptote", 0.1, 5.0, 0.1, "-45.2432"),
+            (rho_chen_chadam, "chen-chadam", 1e-6, 5.0, 1e4, "0"),
+        ],
+    )
+    def test_closed_forms_stay_in_zero_to_strike(self, fn, name, r, sigma, tau, rho):
+        """Defined formulas whose value leaves (0, E]: three go negative and
+        the series underflows to 0."""
+        p = MarketParams(r=r, sigma=sigma, strike=100.0)
+        message = f"{name} formula leaves (0, E] at tau={tau:g}: rho={rho}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fn(tau, p)
+
     def test_eta_lowest_order_domain(self, params):
         with pytest.raises(DomainError):
             eta_lowest_order(10.0, params)

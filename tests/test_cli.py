@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from putboundary import (
+    CLOSED_FORMS,
     DomainError,
     MarketParams,
     SmallTauSubstitution,
@@ -195,6 +200,46 @@ class TestCompareCommand:
         assert vals[4] == pytest.approx(99.2, abs=0.1)  # finite-difference benchmark
 
 
+#: defined closed forms whose value leaves (0, E]: kk and ekk go negative at
+#: a five-year tau, zhu's asymptote at sigma = 5, and the series underflows to 0
+OUT_OF_RANGE = [
+    ("kk", ("--r", "0.005", "--sigma", "0.8", "--tau", "5")),
+    ("ekk", ("--r", "0.005", "--sigma", "0.8", "--tau", "5")),
+    ("zhu-asymptote", ("--sigma", "5", "--tau", "0.1")),
+    ("chen-chadam", ("--r", "1e-6", "--sigma", "5", "--tau", "1e4")),
+]
+
+
+class TestClosedFormRange:
+    @pytest.mark.parametrize("method, market", OUT_OF_RANGE, ids=[m for m, _ in OUT_OF_RANGE])
+    def test_outside_zero_to_strike_is_a_domain_error(self, capsys, method, market):
+        """`boundary` exits 2 naming the method, and `compare` prints the
+        cell and its relative error as n/a next to a live zhu column."""
+        code, out, err = run_cli(capsys, "boundary", "--method", method, *market)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith(f"putboundary: domain error: {method} formula leaves (0, E]")
+        assert err.count("\n") == 1
+        argv = ("compare", "--method", f"{method},zhu", "--benchmark", "zhu", *market)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = parse_csv(out)
+        assert rows[0][1] == rows[0][3] == "n/a" and float(rows[0][2]) > 0.0
+
+    def test_gamma_whose_a_squared_overflows(self, capsys):
+        argv = ("compare", "--method", "ekk,zhu", "--benchmark", "ekk", "--sigma", "1e-150",
+                "--tau", "1e-3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == (
+            "putboundary: domain error: gamma = 2r/sigma^2 = 2e+299 too large: a^2 overflows\n"
+        )
+
+    @pytest.mark.xfail(strict=True, reason="the integral formula's own value below gamma0")
+    def test_zhu_positive_at_small_gamma(self):
+        """gamma = 2.2e-5: the integral formula itself gives rho(1) = -0.243547."""
+        assert rho_zhu(1.0, MarketParams(r=1e-6, sigma=0.3, strike=100.0)) > 0.0
+
+
 class TestGamma0Command:
     def test_value_and_determinism(self, capsys):
         code1, out1, _ = run_cli(capsys, "gamma0")
@@ -307,7 +352,8 @@ COMPARE_HEADER = (
 #: stdout of `putboundary compare --method kk,ekk,ssc-a,chen-chadam,zhu-asymptote,zhu
 #: --benchmark zhu --tau 1e-5,1e-3,0.1,5` at the default precision, frozen from
 #: the fixed-step Newton-Cotes zhu integral; keys are (r, sigma, E) for one
-#: market each below gamma0 (0.011), at gamma = 1 and at gamma >= 5 (8.9)
+#: market each below gamma0 (0.011), at gamma = 1 and at gamma >= 5 (8.9).
+#: kk and ekk at gamma = 0.011 and tau = 5 fall below 0: n/a cells
 COMPARE_GOLDEN = {
     ("0.0005", "0.3", "100"): (
         COMPARE_HEADER
@@ -317,8 +363,7 @@ COMPARE_GOLDEN = {
         "0.0344841,0.0342905,0.0469447\n"
         "0.1,68.4481,67.312,72.4388,71.9506,91.2854,57.1432,0.197835,0.177953,"
         "0.267671,0.259128,0.597485\n"
-        "5,-79.3654,-89.2647,18.8331,14.636,n/a,4.94667,17.0442,19.0454,"
-        "2.80723,1.95876,n/a\n"
+        "5,n/a,n/a,18.8331,14.636,n/a,4.94667,n/a,n/a,2.80723,1.95876,n/a\n"
     ),
     ("0.045", "0.3", "100"): (
         COMPARE_HEADER
@@ -608,8 +653,8 @@ def test_bad_input_is_one_typed_line(argv, code):
     assert last.startswith(f"putboundary: {kind}: ") and run.stderr.count("\n") == 1
 
 
-#: ssc-a where its exponent is positive (an OverflowError, and rho > E),
-#: the kernel table of a market whose gamma overflows, and zhu's asymptote
+#: ssc-a where its exponent is positive (an OverflowError, and rho > E), a
+#: market whose a^2 = ((1 + gamma)/2)^2 overflows, and zhu's asymptote
 STDERR_CONTRACT_ARGV = [
     ("boundary", "--method", "ssc-a", "--r", "1e-8", "--sigma", "2.3", "--tau", "720"),
     ("boundary", "--method", "ssc-a", "--r", "1e-8", "--sigma", "1.6", "--tau", "289"),
@@ -695,3 +740,70 @@ def test_warnings_are_typed_lines(capsys):
         "0.00274383,0.0113143,0.413899\n"
         "0.006,0.0134094,0.365464\n"
     ), "")
+
+
+def _mostly(ordinary, edges):
+    """One of the ordinary values three times in four, else an edge."""
+    return st.one_of(*[st.sampled_from(ordinary)] * 3, st.sampled_from(edges))
+
+
+#: flag values as a script spells them: ordinary markets and times, and the
+#: edges of the float range
+_RATES = _mostly(["0.005", "0.05", "0.1", "0.3"], ["1e-6", "2", "0", "-0.1", "nan", "1e300"])
+_SIGMAS = _mostly(["0.05", "0.15", "0.3", "0.8"], ["1e-150", "5", "0", "inf"])
+_STRIKES = st.sampled_from(["1", "37.5", "100"])
+_TAUS = _mostly(
+    [",".join(ts) for ts in (["1e-3"], ["1e-5", "0.1"], ["0", "0.02", "1"], ["0.5", "5"])],
+    ["1e-17,1e-9", "1e4", "-1", "x", ""],
+)
+#: solver grids small enough for a Tier-1 run
+_GRIDS = st.tuples(st.integers(2, 12), st.integers(8, 30)).map(
+    lambda mn: (f"--m={mn[0]}", f"--n={mn[1]}", "--L=1")
+)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["boundary", "compare", "mispricing", "gamma0"]))
+    if command == "gamma0":
+        return [command]
+    argv = [command, f"--r={draw(_RATES)}", f"--sigma={draw(_SIGMAS)}", f"--E={draw(_STRIKES)}"]
+    argv += [f"--precision={draw(st.integers(0, 12))}", *draw(_GRIDS)]
+    taus = draw(_TAUS)
+    if command == "boundary":
+        argv += [f"--method={draw(st.sampled_from(cli.ALL_METHODS))}", f"--tau={taus}"]
+    elif command == "compare":
+        methods = draw(st.lists(st.sampled_from(cli.ALL_METHODS), min_size=2, max_size=4))
+        argv += [f"--method={','.join(methods)}", f"--benchmark={draw(st.sampled_from(methods))}"]
+        argv += [f"--tau={taus}"]
+    else:
+        argv += [f"--method={draw(st.sampled_from(tuple(cli._FORMULAS)))}"]
+        argv += [f"--benchmark={draw(st.sampled_from(cli.SOLVER_METHODS))}", "--points=2"]
+        argv += [f"--T={draw(st.sampled_from(['1e-3', '0.006', '0.1']))}"]
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_cli_contract(argv):
+    """Over the flag space: a documented exit code, stderr only in the
+    program's own typed lines, and on success every closed-form rho cell in
+    (0, E], as printed at the requested precision."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_DOMAIN, EXIT_USAGE), argv
+    for line in err.splitlines():
+        assert line.startswith("putboundary: "), (argv, line)
+        assert "Traceback" not in line and "encountered in" not in line, (argv, line)
+    if code != EXIT_OK or argv[0] not in ("boundary", "compare"):
+        return
+    flags = dict(a[2:].split("=", 1) for a in argv[1:])
+    strike = float(f"{float(flags['E']):.{flags['precision']}g}")
+    header, rows = parse_csv(out)
+    methods = header[1:] if argv[0] == "compare" else [flags["method"]]
+    for k, method in enumerate(methods, start=1):
+        if method in CLOSED_FORMS:
+            for row in rows:
+                assert row[k] == "n/a" or 0.0 < float(row[k]) <= strike, (argv, method, row)

@@ -11,17 +11,15 @@ from putboundary import (
     DomainError,
     MarketParams,
     MaxIterationsError,
-    QuadratureConfig,
     QuadratureNodeError,
     TauGrid,
     boundary_rel_err,
     find_root_bracketed,
     norm_cdf,
 )
+from putboundary import core
 
 import oracles
-
-CFG = QuadratureConfig()
 
 
 class TestNormCdf:
@@ -66,21 +64,20 @@ class TestNewtonCotes:
     pricing and ssch quadratures use."""
 
     def test_linear_exact(self):
-        got = oracles.integrate_newton_cotes(lambda x: x, 0.0, 1.0, CFG)
+        got = oracles.integrate_newton_cotes(lambda x: x, 0.0, 1.0)
         assert got == pytest.approx(0.5, abs=1e-15)
 
     def test_quintic_exact_single_panel(self):
-        cfg = QuadratureConfig(finite_subintervals=4)
-        got = oracles.integrate_newton_cotes(lambda x: x**5, 0.0, 1.0, cfg)
+        got = oracles.integrate_newton_cotes(lambda x: x**5, 0.0, 1.0, 4)
         assert got == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_sine_closed_form(self):
-        got = oracles.integrate_newton_cotes(np.sin, 0.0, math.pi, CFG)
+        got = oracles.integrate_newton_cotes(np.sin, 0.0, math.pi)
         assert got == pytest.approx(2.0, abs=1e-10)
 
     def test_gaussian_against_refinement_oracle(self):
         # frozen from oracles.refine_integral(exp(-x^2), 0, 1) at ~1e6 subintervals
-        got = oracles.integrate_newton_cotes(lambda x: np.exp(-(x**2)), 0.0, 1.0, CFG)
+        got = oracles.integrate_newton_cotes(lambda x: np.exp(-(x**2)), 0.0, 1.0)
         assert got == pytest.approx(0.7468241328124270, abs=1e-12)
 
     def test_nonfinite_node_reported_with_abscissa(self):
@@ -89,19 +86,18 @@ class TestNewtonCotes:
                 return 1.0 / x
 
         with pytest.raises(QuadratureNodeError) as err:
-            oracles.integrate_newton_cotes(reciprocal, 0.0, 1.0, CFG)
+            oracles.integrate_newton_cotes(reciprocal, 0.0, 1.0)
         assert err.value.abscissa == 0.0
 
     def test_interval_order_checked(self):
         with pytest.raises(DomainError):
-            oracles.integrate_newton_cotes(lambda x: x, 1.0, 0.0, CFG)
+            oracles.integrate_newton_cotes(lambda x: x, 1.0, 0.0)
 
     def test_empirical_order_on_exponential(self):
         exact = math.e - 1.0
         errs = []
         for n in (8, 16, 32):
-            cfg = QuadratureConfig(finite_subintervals=n)
-            errs.append(abs(oracles.integrate_newton_cotes(np.exp, 0.0, 1.0, cfg) - exact))
+            errs.append(abs(oracles.integrate_newton_cotes(np.exp, 0.0, 1.0, n) - exact))
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.5
         assert math.log2(errs[1] / errs[2]) >= 3.5
@@ -109,29 +105,30 @@ class TestNewtonCotes:
 
 class TestRootFinding:
     def test_parabola(self):
-        got = find_root_bracketed(lambda x: x * x - 4.0, 0.0, 10.0, CFG)
-        assert got == pytest.approx(2.0, abs=CFG.root_tol)
+        got = find_root_bracketed(lambda x: x * x - 4.0, 0.0, 10.0)
+        assert got == pytest.approx(2.0, abs=core._ROOT_TOL)
 
     def test_identity(self):
-        got = find_root_bracketed(lambda x: x, -1.0, 1.0, CFG)
-        assert got == pytest.approx(0.0, abs=CFG.root_tol)
+        got = find_root_bracketed(lambda x: x, -1.0, 1.0)
+        assert got == pytest.approx(0.0, abs=core._ROOT_TOL)
 
     def test_dottie_against_fixed_point_oracle(self):
         # frozen from oracles.dottie_fixed_point()
-        got = find_root_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0, CFG)
+        got = find_root_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0)
         assert got == pytest.approx(0.7390851332151607, abs=1e-9)
         assert abs(got - oracles.dottie_fixed_point()) < 1e-9
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root_bracketed(lambda x: x * x + 1.0, 0.0, 1.0, CFG)
+            find_root_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         # a sign function gives interpolation nothing to use, so the bracket
         # only halves and needs far more than three steps to close
-        cfg = QuadratureConfig(root_tol=1e-14, max_iter=3)
-        with pytest.raises(MaxIterationsError):
-            find_root_bracketed(lambda x: math.copysign(1.0, x - 1e-7), 0.0, 1e6, cfg)
+        monkeypatch.setattr(core, "_ROOT_TOL", 1e-14)
+        monkeypatch.setattr(core, "_MAX_ITER", 3)
+        with pytest.raises(MaxIterationsError, match="in 3 iterations"):
+            find_root_bracketed(lambda x: math.copysign(1.0, x - 1e-7), 0.0, 1e6)
 
     def test_infinite_endpoint_value(self):
         """g = +inf past a pole, as the ssch residual is where its log
@@ -142,16 +139,16 @@ class TestRootFinding:
             calls.append(x)
             return 1.0 / (1.0 - x) - 3.0 if x < 1.0 else math.inf
 
-        got = find_root_bracketed(g, 0.0, 1.0, CFG)
-        assert got == pytest.approx(2.0 / 3.0, abs=CFG.root_tol)
+        got = find_root_bracketed(g, 0.0, 1.0)
+        assert got == pytest.approx(2.0 / 3.0, abs=core._ROOT_TOL)
         assert calls[2] == 0.5  # the first step bisects
         assert len(calls) < 20
 
     def test_residual_small_at_root(self):
         g = lambda x: math.cos(x) - x
-        root = find_root_bracketed(g, 0.0, 1.0, CFG)
+        root = find_root_bracketed(g, 0.0, 1.0)
         # |g| at the root is bounded by |g'| times the final bracket width
-        assert abs(g(root)) <= 2.0 * CFG.root_tol
+        assert abs(g(root)) <= 2.0 * core._ROOT_TOL
 
 
 class TestInterpolation:
@@ -212,6 +209,15 @@ class TestTypes:
             with pytest.raises(DomainError):
                 MarketParams(**bad)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-160])
+    def test_gamma_whose_a_squared_overflows_rejected(self, sigma):
+        """gamma = 2e299 is finite but a^2 is not; at sigma = 1e-160 gamma
+        itself overflows."""
+        with pytest.raises(DomainError, match=r"gamma = 2r/sigma\^2 = .* a\^2 overflows"):
+            MarketParams(r=0.1, sigma=sigma, strike=100.0)
+        # a^2 = 1e200 is finite, so this market stands
+        assert MarketParams(r=1e-200, sigma=1e-150, strike=100.0).gamma == pytest.approx(2e100)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             TauGrid(np.array([0.1, 0.2]))  # must start at 0
@@ -227,9 +233,3 @@ class TestTypes:
             curve.value(1.5)
         with pytest.raises(DomainError):
             BoundaryCurve(grid, np.array([100.0, -5.0, 85.0]))
-
-    def test_quadrature_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(finite_subintervals=6)  # not a multiple of 4
-        with pytest.raises(DomainError):
-            QuadratureConfig(root_tol=0.0)

@@ -8,7 +8,6 @@ from putboundary import (
     DegenerateDenominatorError,
     DomainError,
     MarketParams,
-    QuadratureConfig,
     TauGrid,
     boundary_rel_err,
     european_put,
@@ -19,6 +18,7 @@ from putboundary import (
     rho_zhu_asymptote,
     solve_boundary,
 )
+from putboundary import pricing
 from putboundary.psor import transform_constants
 
 import oracles
@@ -26,8 +26,7 @@ import oracles
 
 @pytest.fixture(scope="module")
 def short_curve(params):
-    cfg = QuadratureConfig(finite_subintervals=500)
-    return solve_boundary(params, 0.12, 60, cfg=cfg)
+    return solve_boundary(params, 0.12, 60)
 
 
 #: markets spanning the gap formula's parameter space: gamma = 2r/sigma^2 near
@@ -76,9 +75,8 @@ class TestGreenKernel:
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0])
     def test_normalisation(self, params, tau):
         width = 10.0 * params.sigma * math.sqrt(tau)
-        cfg = QuadratureConfig(finite_subintervals=4000)
         total = oracles.integrate_newton_cotes(
-            lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, cfg
+            lambda x: oracles.heat_kernel(x, tau, params.sigma), -width, width, 4000
         )
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -114,15 +112,13 @@ class TestGapAtBoundary:
         g_far = price_gap_at_boundary(short_curve, app_far, 0.1, params)
         assert g_far >= g_near > 0.0
 
-    def test_endpoint_grid_invariance(self, params, short_curve):
+    def test_endpoint_grid_invariance(self, params, short_curve, monkeypatch):
         app = asymptote_fn(params)
-        a = price_gap_at_boundary(
-            short_curve, app, 0.01, params, QuadratureConfig(finite_subintervals=1000)
-        )
-        b = price_gap_at_boundary(
-            short_curve, app, 0.01, params, QuadratureConfig(finite_subintervals=2000)
-        )
-        assert abs(a - b) < 1e-8 * params.strike
+        assert pricing._GAP_SUBINTERVALS == 1000
+        a = price_gap_at_boundary(short_curve, app, 0.01, params)
+        monkeypatch.setattr(pricing, "_GAP_SUBINTERVALS", 2000)
+        b = price_gap_at_boundary(short_curve, app, 0.01, params)
+        assert a != b and abs(a - b) < 1e-8 * params.strike
 
     def test_curve_domain_enforced(self, params, short_curve):
         with pytest.raises(DomainError):
@@ -133,7 +129,7 @@ class TestExpiryNode:
     def test_curves_not_sampled_at_expiry(self, params):
         """The last node is expiry, where the strike is taken: each curve is
         evaluated on the n nodes before it, all at least tau/n from expiry."""
-        n = QuadratureConfig().finite_subintervals
+        n = pricing._GAP_SUBINTERVALS
         lowest = []
 
         def spy(xi):
@@ -191,7 +187,7 @@ class TestGapFull:
         assert full == direct > 0.0
 
     @pytest.mark.parametrize("market", GAP_MARKETS)
-    def test_matches_double_integral_oracle(self, market):
+    def test_matches_double_integral_oracle(self, market, monkeypatch):
         """The closed form against the oracle's numeric inner integral, with
         S on the boundary, below it and above the strike, and with curves
         that coincide for xi <= 0.03.  Both use the same outer rule, so the
@@ -200,25 +196,25 @@ class TestGapFull:
         smallest gaps), and it shrinks ~16x when n grows to 4000 wherever it
         stands above rounding."""
         p = GAP_MARKETS[market]
-        truth = solve_boundary(p, 0.12, 60, cfg=QuadratureConfig(finite_subintervals=500))
+        truth = solve_boundary(p, 0.12, 60)
         app = asymptote_fn(p)
         partial = lambda t: np.where(np.asarray(t) <= 0.03, 1.0, 0.98) * truth.value(t)
         assert partial(0.02) == truth.value(0.02) and partial(0.04) != truth.value(0.04)
         cases = [(app, tau) for tau in (1e-4, 0.01, 0.1)] + [(partial, 0.1)]
-        coarse = QuadratureConfig(finite_subintervals=1000)
-        fine = QuadratureConfig(finite_subintervals=4000)
         refined = 0
         for rho_app, tau in cases:
             rho_tau = float(truth.value(tau))
             for S in (rho_tau, 0.9 * rho_tau, 1.1 * p.strike):
-                got = price_gap_full(truth, rho_app, S, tau, p, coarse)
-                want = oracles.price_gap_full_rows(truth, rho_app, S, tau, p, coarse)
+                got = price_gap_full(truth, rho_app, S, tau, p)
+                want = oracles.price_gap_full_rows(truth, rho_app, S, tau, p, 1000)
                 diff = abs(got - want)
                 # gaps that underflow to ~1e-230 E differ only in absolute terms
                 assert diff <= 4e-6 * want + 1e-20 * p.strike, (market, tau, S)
                 if diff > 1e-11 * want + 1e-20 * p.strike:
-                    got = price_gap_full(truth, rho_app, S, tau, p, fine)
-                    want = oracles.price_gap_full_rows(truth, rho_app, S, tau, p, fine)
+                    with monkeypatch.context() as fine:
+                        fine.setattr(pricing, "_GAP_SUBINTERVALS", 4000)
+                        got = price_gap_full(truth, rho_app, S, tau, p)
+                    want = oracles.price_gap_full_rows(truth, rho_app, S, tau, p, 4000)
                     assert abs(got - want) < diff / 8.0, (market, tau, S)
                     refined += 1
         assert refined >= 1

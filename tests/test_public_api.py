@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import putboundary
@@ -15,3 +16,22 @@ def test_public_names_are_the_modules_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set().union(*(m.__all__ for m in MODULES))
+
+
+def test_no_quadrature_settings_in_the_api():
+    """Node counts and tolerances are private constants of the modules that
+    use them: no settings object is exported and no function takes one."""
+    assert not hasattr(putboundary, "QuadratureConfig")
+    functions = (
+        core.find_root_bracketed,
+        ssch.solve_boundary,
+        zhu.rho_zhu,
+        zhu.zhu_second_derivative,
+        zhu.f2_max,
+        zhu.gamma_critical,
+        pricing.price_gap_full,
+        pricing.price_gap_at_boundary,
+        pricing.mispricing_err,
+    )
+    for fn in functions:
+        assert "cfg" not in inspect.signature(fn).parameters, fn.__name__

@@ -11,7 +11,6 @@ from putboundary import (
     MeshKind,
     NumericalError,
     PsorConfig,
-    QuadratureConfig,
     build_mesh,
     eta_lowest_order,
     extract_boundary,
@@ -19,6 +18,7 @@ from putboundary import (
     solve_boundary,
 )
 from putboundary import ssch
+from putboundary.core import _ROOT_TOL
 from putboundary.asymptotics import _log_eta_argument
 from putboundary.ssch import _f_of_eta, _log_a, _newton, _sample, _solve_node, _theta_nodes
 
@@ -33,8 +33,6 @@ SSCH_TABLE = {
     2.0: 73.2722,
     5.0: 70.5100,
 }
-
-SMOKE = QuadratureConfig(finite_subintervals=252)  # reduced-fidelity profile
 
 # the standard market, gamma = 0.22 and gamma = 9.6, solved over five years
 NEWTON_MARKETS = [
@@ -60,14 +58,13 @@ def increment(taus, etas, i, eta_i, theta, p):
     return (eta_i - (base + slope * eta_i) * st) / np.cos(theta)
 
 
-def f_on_path(taus, etas, i, eta_i, p, cfg=None):
+def f_on_path(taus, etas, i, eta_i, p):
     """F at node i for the trial eta_i, with the path sampled on the nodes
     of the theta rule."""
-    cfg = cfg or QuadratureConfig()
     tau_i = float(taus[i])
-    st = _theta_nodes(cfg.finite_subintervals)[0]
+    st = _theta_nodes()[0]
     base, slope = _sample(taus, etas, i, tau_i * st * st, p)
-    return _f_of_eta(tau_i, base, slope, p, cfg)(eta_i)[0]
+    return _f_of_eta(tau_i, base, slope, p)(eta_i)[0]
 
 
 def _spy_on_nodes(monkeypatch):
@@ -75,9 +72,9 @@ def _spy_on_nodes(monkeypatch):
     is the solve's own array, so it is complete once the solve returns."""
     nodes = []
 
-    def spy(taus, etas, i, p, cfg):
+    def spy(taus, etas, i, p):
         nodes.append((i, etas))
-        return _solve_node(taus, etas, i, p, cfg)
+        return _solve_node(taus, etas, i, p)
 
     monkeypatch.setattr(ssch, "_solve_node", spy)
     return nodes
@@ -122,14 +119,15 @@ class TestPathAndMappings:
     def test_g_against_precision_oracle(self, params):
         # grid [0, 0.005, 0.02]; node 1 holds the closed-form seed, the trial
         # value sits at tau = 0.02; frozen from a 50-digit evaluation at
-        # theta = pi/4, node 2 of the n = 4 rule
+        # theta = pi/4, the middle node of the theta rule
         grid = build_mesh(0.02, 2, MeshKind.QUADRATIC, params)
         eta1 = float(eta_lowest_order(0.005, params))
         trial = float(eta_lowest_order(0.02, params))
         assert eta1 == pytest.approx(-1.4612273122883756, abs=1e-13)
-        st, ct = _theta_nodes(4)[:2]
+        st, ct = _theta_nodes()[:2]
+        k = ssch._THETA_SUBINTERVALS // 2
         base, slope = _sample(grid.taus, path(grid, [eta1]), 2, 0.02 * st * st, params)
-        got = (trial - (base[2] + slope[2] * trial) * st[2]) / ct[2]
+        got = (trial - (base[k] + slope[k] * trial) * st[k]) / ct[k]
         assert got == pytest.approx(-0.32314704296296677, abs=1e-12)
 
     def test_sample_matches_interpolation_with_trial(self, params):
@@ -149,14 +147,14 @@ class TestPathAndMappings:
     def test_f_flat_zero_path_closed_form(self):
         """G == 0 collapses F to 2 int (sigma sqrt(tau)/sqrt(2)) sin = sigma sqrt(2 tau)."""
         p = MarketParams(r=1e-12, sigma=0.3, strike=100.0)
-        got = _f_of_eta(0.04, 0.0, 0.0, p, QuadratureConfig())(0.0)[0]
+        got = _f_of_eta(0.04, 0.0, 0.0, p)(0.0)[0]
         assert got == pytest.approx(p.sigma * math.sqrt(2 * 0.04), abs=1e-10)
 
     def test_f_tau_dependence_collapses_like_sqrt_tau(self, params):
         # with a frozen path shape only the sigma sqrt(tau) sin-term and the
         # e^{-r tau cos^2} damping depend on tau, both O(sqrt(tau)) and O(tau)
-        f_a = _f_of_eta(1e-6, -1.0, 0.0, params, QuadratureConfig())(-1.0)[0]
-        f_b = _f_of_eta(1e-10, -1.0, 0.0, params, QuadratureConfig())(-1.0)[0]
+        f_a = _f_of_eta(1e-6, -1.0, 0.0, params)(-1.0)[0]
+        f_b = _f_of_eta(1e-10, -1.0, 0.0, params)(-1.0)[0]
         bound = params.sigma * math.sqrt(2.0) * (math.sqrt(1e-6) + math.sqrt(1e-10))
         assert abs(f_a - f_b) < bound
 
@@ -180,14 +178,13 @@ class TestNodeSolve:
         assert etas[1] == eta_lowest_order(float(curve.grid.taus[1]), params)
 
     def test_residual_contract(self, params):
-        cfg = QuadratureConfig()
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
         etas = path(grid, [eta_lowest_order(grid.taus[1], params)])
-        eta2 = _solve_node(grid.taus, etas, 2, params, cfg)
-        F = f_on_path(grid.taus, etas, 2, eta2, params, cfg)
+        eta2 = _solve_node(grid.taus, etas, 2, params)
+        F = f_on_path(grid.taus, etas, 2, eta2, params)
         log_a = _log_a(F, _log_eta_argument(float(grid.taus[2]), params) - math.log(2.0))
         assert eta2 < 0.0  # the near-expiry branch eta = -sqrt(-ln A)
-        assert abs(eta2 * eta2 + log_a) <= cfg.root_tol
+        assert abs(eta2 * eta2 + log_a) <= _ROOT_TOL
 
     def test_log_a_matches_linear_space_argument(self, params):
         """ln A in log space equals the log of
@@ -220,20 +217,20 @@ class TestNodeSolve:
         self._flat_log_argument(monkeypatch, math.exp(-100.0))
         assert ssch.BRACKET_DOUBLINGS == 8
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        eta = _solve_node(grid.taus, path(grid, [-20.0]), 2, params, QuadratureConfig())
+        eta = _solve_node(grid.taus, path(grid, [-20.0]), 2, params)
         assert eta == pytest.approx(-10.0, abs=1e-9)
 
     def test_root_beyond_last_bracket_names_the_node(self, params, monkeypatch):
         self._flat_log_argument(monkeypatch, math.exp(-100.0))
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
         with pytest.raises(BracketError, match=r"node 2 \(tau=0\.004\)"):
-            _solve_node(grid.taus, path(grid, [-30.0]), 2, params, QuadratureConfig())
+            _solve_node(grid.taus, path(grid, [-30.0]), 2, params)
 
     def test_log_argument_never_positive_names_the_node(self, params, monkeypatch):
         self._flat_log_argument(monkeypatch, -1.0)
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
         with pytest.raises(LogDomainError, match=r"node 2 \(tau=0\.004\)"):
-            _solve_node(grid.taus, path(grid, [-1.0]), 2, params, QuadratureConfig())
+            _solve_node(grid.taus, path(grid, [-1.0]), 2, params)
 
     def test_overflowing_growth_factor_is_typed_and_names_the_node(self, params):
         """r tau_i = 720 > 709: e^{r tau_i} overflows a float, but ln A is
@@ -242,13 +239,13 @@ class TestNodeSolve:
         taus = np.array([0.0, 1e-4, 7200.0])
         etas = np.array([math.nan, eta_lowest_order(1e-4, params), math.nan])
         with pytest.raises(NumericalError, match=r"node 2 \(tau=7200\)"):
-            _solve_node(taus, etas, 2, params, QuadratureConfig())
+            _solve_node(taus, etas, 2, params)
 
     def test_non_finite_integrand_is_a_numerical_error(self, params):
-        base = np.full(QuadratureConfig().finite_subintervals + 1, -1.0)
+        base = np.full(ssch._THETA_SUBINTERVALS + 1, -1.0)
         base[17] = math.nan
         with pytest.raises(NumericalError, match=r"non-finite integrand .* tau=0\.5"):
-            _f_of_eta(0.5, base, 0.0, params, QuadratureConfig())(-0.5)
+            _f_of_eta(0.5, base, 0.0, params)(-0.5)
 
     def test_log_argument_never_positive_falls_back_past_node_two(self, params, monkeypatch):
         """ln A = -inf at the extrapolated start sends a later node to the
@@ -257,12 +254,12 @@ class TestNodeSolve:
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
         etas = path(grid, [-1.2, -1.1, -1.0])
         with pytest.raises(LogDomainError, match=r"node 4 \(tau=0\.016\): no sign change"):
-            _solve_node(grid.taus, etas, 4, params, QuadratureConfig())
+            _solve_node(grid.taus, etas, 4, params)
 
 
 class TestBoundarySolve:
     def test_starts_at_strike(self, params):
-        curve = solve_boundary(params, 0.1, 20, cfg=SMOKE)
+        curve = solve_boundary(params, 0.1, 20)
         assert curve.rhos[0] == params.strike
 
     def test_near_expiry_reference_value(self, params):
@@ -272,25 +269,24 @@ class TestBoundarySolve:
     def test_sequential_locality(self, params, monkeypatch):
         """Re-solving node i with every later value NaN reproduces the full
         solve's eta_i bit for bit: values depend only on the earlier history."""
-        cfg = SMOKE
         nodes = _spy_on_nodes(monkeypatch)
-        curve = solve_boundary(params, 0.04, 6, cfg=cfg)
+        curve = solve_boundary(params, 0.04, 6)
         full = nodes[-1][1].copy()  # the solve's own array, complete once it returns
         assert np.all(np.isfinite(full[1:]))
         for i in (2, 4, 6):
             truncated = full.copy()
             truncated[i:] = math.nan
-            assert _solve_node(curve.grid.taus, truncated, i, params, cfg) == full[i]
+            assert _solve_node(curve.grid.taus, truncated, i, params) == full[i]
 
     def test_non_finite_integrand_names_the_node(self, params, monkeypatch):
         """A NaN in the sampled path (here from the small-tau formula on
         (0, tau_1)) stops the solve at the first node that integrates it."""
         monkeypatch.setattr(ssch, "_eta", lambda t, p, xp: np.full(np.shape(t), math.nan))
         with pytest.raises(NumericalError, match=r"failed at node 2: non-finite integrand"):
-            solve_boundary(params, 0.1, 20, cfg=SMOKE)
+            solve_boundary(params, 0.1, 20)
 
     def test_monotone_and_in_range(self, params):
-        curve = solve_boundary(params, 5.0, 60, cfg=SMOKE)
+        curve = solve_boundary(params, 5.0, 60)
         assert np.all(np.diff(curve.rhos) < 0)
         lo = 0.9 * params.perpetual_boundary
         assert np.all(curve.rhos > lo)
@@ -299,14 +295,14 @@ class TestBoundarySolve:
     def test_mesh_self_convergence(self, params):
         vals = {}
         for m in (25, 50, 100):
-            vals[m] = float(solve_boundary(params, 1.0, m, cfg=SMOKE).value(1.0))
+            vals[m] = float(solve_boundary(params, 1.0, m).value(1.0))
         d1 = abs(vals[50] - vals[25])
         d2 = abs(vals[100] - vals[50])
         assert d2 < d1  # converging
         assert math.log2(d1 / d2) >= 0.75  # at least first order, with slack
 
     def test_near_expiry_ratio_trend(self, params):
-        curve = solve_boundary(params, 0.1, 50, cfg=SMOKE)
+        curve = solve_boundary(params, 0.1, 50)
         t1 = float(curve.grid.taus[1])
         ratio = (params.strike - float(curve.rhos[1])) / (
             math.sqrt(t1) * math.sqrt(-math.log(t1))

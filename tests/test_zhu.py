@@ -6,7 +6,6 @@ import pytest
 from putboundary import (
     DomainError,
     MarketParams,
-    QuadratureConfig,
     QuadratureNodeError,
     SmallTauSubstitution,
     TailTooHeavyError,
@@ -18,6 +17,7 @@ from putboundary import (
     zhu_second_derivative,
 )
 from putboundary import zhu
+from putboundary.core import _ROOT_TOL
 from putboundary.zhu import SMALL_TAU_CUTOFF, _tabulated_kernel
 
 import oracles
@@ -123,12 +123,6 @@ class TestBoundary:
         vals = rho_zhu(np.geomspace(1e-7, 1e-5, 201), p)
         assert np.all(np.diff(vals) < 0)
 
-    def test_node_count_does_not_read_finite_subintervals(self, params):
-        taus = np.array([1e-16, 1e-9, 1e-3, 1.0, 5.0])
-        a = rho_zhu(taus, params, QuadratureConfig(finite_subintervals=8))
-        b = rho_zhu(taus, params, QuadratureConfig(finite_subintervals=20000))
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-
     def test_monotone_decreasing_and_convex(self, params):
         taus = [0.01 * k for k in range(1, 101)]
         vals = [rho_zhu(t, params) for t in taus]
@@ -211,11 +205,10 @@ class TestCriticalGamma:
     def test_critical_gamma_to_the_root_tolerance(self):
         """The bracket (1e-4, 1) spans four decades; the root still lands
         within 1e-12 relative of a narrow-bracket solve, so the search does
-        not stop early, and f2_max is pi there to root_tol."""
-        cfg = QuadratureConfig()
-        g0 = gamma_critical(cfg)
+        not stop early, and f2_max is pi there to the root tolerance."""
+        g0 = gamma_critical()
         assert abs(g0 / 0.01678207552590423 - 1.0) <= 1e-12
-        assert abs(f2_max(g0, cfg) - math.pi) <= cfg.root_tol
+        assert abs(f2_max(g0) - math.pi) <= _ROOT_TOL
 
     def test_monotone_peak_in_gamma(self):
         gs = [0.005, 0.0167821, 0.05, 0.2, 1.0]
@@ -252,10 +245,12 @@ class TestArrayContract:
 
     def test_nonfinite_kernel_node_reported(self):
         # no RuntimeWarning escapes the table: pytest turns one into an error
-        p = MarketParams(r=0.1, sigma=1e-160, strike=100.0)  # gamma overflows
+        # gamma = 2e100 and a^2 = 1e200 are finite, but the grid's end
+        # Z = 1.1e159 is not: the first node whose square overflows is reported
+        p = MarketParams(r=1e-200, sigma=1e-150, strike=100.0)
         with pytest.raises(QuadratureNodeError) as err:
             rho_zhu(np.array([0.5, 1.0]), p)
-        assert err.value.abscissa == pytest.approx(1e-6)
+        assert math.sqrt(np.finfo(float).max) < err.value.abscissa < 1e155
 
 
 class TestKernelTable:
@@ -278,7 +273,7 @@ class TestKernelTable:
         taus = (1e-16, 1e-12, 5e-7, 1e-3, 1.0, 5.0)
         rho_zhu(np.array(taus), params)
         for tau in taus:
-            rho_zhu(tau, params, QuadratureConfig(finite_subintervals=4))
+            rho_zhu(tau, params)
             if tau > 1e-16:
                 zhu_second_derivative(tau, params)
         info = _tabulated_kernel.cache_info()
@@ -293,7 +288,7 @@ class TestKernelTable:
                 row[0] = 0.0
 
     def test_non_finite_kernel_raised_on_every_call(self):
-        p = MarketParams(r=0.1, sigma=1e-160, strike=100.0)  # gamma overflows
+        p = MarketParams(r=1e-200, sigma=1e-150, strike=100.0)  # Z^2 overflows
         before = _tabulated_kernel.cache_info()
         for _ in range(2):
             with pytest.raises(QuadratureNodeError):
@@ -309,7 +304,7 @@ class TestKernelTable:
 
 class TestTailBound:
     """The tail beyond the last node Z, bounded from |f| at Z and 1.1 Z, must
-    stay below 10 * root_tol for every tau of a call."""
+    stay below the tail allowance for every tau of a call."""
 
     @pytest.mark.parametrize("sigma", [0.05, 1.5])
     def test_accepted_near_cutoff_at_default_tolerance(self, sigma):
@@ -323,10 +318,15 @@ class TestTailBound:
         for tau in (1e-14, 1e-10, 1e-8, 1e-7, 1.01e-6, 2e-6):
             assert zhu_second_derivative(tau, p) > 0.0
 
-    def test_tight_tolerance_rejected(self, params):
-        tight = QuadratureConfig(root_tol=1e-40)
+    def test_default_allowance_named(self, params):
+        # at the cutoff the (a^2+zeta^2)^2 growth outruns the damping at Z
+        with pytest.raises(TailTooHeavyError, match=r"over the 1\.0e-09 allowed"):
+            zhu_second_derivative(1e-16, params)
+
+    def test_tight_tolerance_rejected(self, params, monkeypatch):
+        monkeypatch.setattr(zhu, "_TAIL_ALLOWANCE", 1e-39)
         with pytest.raises(TailTooHeavyError) as err:
-            rho_zhu(1e-16, params, tight)
+            rho_zhu(1e-16, params)
         msg = str(err.value)
         assert "tau=1e-16" in msg and "Z=3.66667e+09" in msg and "1.0e-39" in msg
         assert "increase" not in msg
@@ -334,12 +334,12 @@ class TestTailBound:
         with pytest.raises(TailTooHeavyError, match="tau=1e-16"):
             zhu_second_derivative(1e-16, params)
 
-    def test_every_tau_checked(self, params):
-        tight = QuadratureConfig(root_tol=1e-40)
+    def test_every_tau_checked(self, params, monkeypatch):
+        monkeypatch.setattr(zhu, "_TAIL_ALLOWANCE", 1e-39)
         # far from the cutoff the damped integrand underflows before Z
-        assert np.all(np.isfinite(rho_zhu(np.array([1.0, 5.0]), params, tight)))
+        assert np.all(np.isfinite(rho_zhu(np.array([1.0, 5.0]), params)))
         with pytest.raises(TailTooHeavyError, match="tau=1e-16"):
-            rho_zhu(np.array([1.0, 5.0, 1e-16]), params, tight)
+            rho_zhu(np.array([1.0, 5.0, 1e-16]), params)
 
 
 ORACLE_GAMMAS = (0.005, 0.0125, 0.0167821, 0.033, 1.0, 2.22, 17.8, 60.0)
