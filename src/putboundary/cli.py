@@ -58,14 +58,14 @@ def _add_market_args(sp):
     sp.add_argument("--sigma", type=float, default=0.3, help="volatility (default 0.3)")
 
 
-def _add_grid_args(sp, n: int, L: float, omega: float):
+def _add_grid_args(sp, n: int, L: float):
     sp.add_argument("--m", type=int, default=None, help="mesh / time-step count")
     sp.add_argument("--n", type=int, default=n, help="spatial half-count (psor)")
     sp.add_argument("--L", type=float, default=L, help="log-price half-width (psor)")
     sp.add_argument(
         "--omega",
         type=float,
-        default=omega,
+        default=PsorConfig.omega,
         help="SOR relaxation in (0, 2); validated, no longer affects the result (psor)",
     )
 
@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     b.add_argument("--tau", default=None, help="comma-separated times to maturity")
     b.add_argument("--T", type=float, default=None, help="horizon for solver methods")
     b.add_argument("--mesh", choices=("uniform", "quadratic"), default="quadratic")
-    _add_grid_args(b, n=1000, L=2.5, omega=1.5)
+    _add_grid_args(b, n=1000, L=2.5)
     _add_output_args(b)
 
     c = sub.add_parser("compare", help="several methods side by side")
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     _add_market_args(c)
     c.add_argument("--tau", required=True, help="comma-separated times to maturity")
     c.add_argument("--mesh", choices=("uniform", "quadratic"), default="quadratic")
-    _add_grid_args(c, n=1000, L=2.5, omega=1.5)
+    _add_grid_args(c, n=1000, L=2.5)
     _add_output_args(c)
 
     g = sub.add_parser("gamma0", help="convexity-threshold parameter")
@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
     _add_market_args(mi)
     mi.add_argument("--T", type=float, default=0.006, help="sweep upper end (default 0.006)")
     mi.add_argument("--points", type=int, default=40, help="sweep size (default 40)")
-    _add_grid_args(mi, n=1200, L=0.06, omega=1.85)
+    _add_grid_args(mi, n=1200, L=0.06)
     mi.set_defaults(mesh="quadratic")
     _add_output_args(mi)
     return ap
@@ -167,13 +167,20 @@ def _method_evaluator(method: str, p: MarketParams, T: float, args):
 
 def _column(method: str, ev, taus, strike: float, na_cells: bool) -> list:
     """ev's rho at every tau: the strike at tau = 0, one array call for zhu or
-    a solver curve, one call per tau for a closed form (floats only), where a
-    DomainError is an `n/a` cell (None) with na_cells and raised without."""
+    a solver curve, one call per tau for a closed form (floats only) and, with
+    na_cells, for an array call that raised DomainError.  A DomainError is an
+    `n/a` cell (None) with na_cells and raised without."""
     live = [x for x in map(float, taus) if x > 0.0]
     if method in CLOSED_FORMS:
-        vals = iter([_defined(ev, x) if na_cells else ev(x) for x in live])
+        vals = [_defined(ev, x) if na_cells else ev(x) for x in live]
     else:
-        vals = iter(ev(np.array(live)).tolist())
+        try:
+            vals = ev(np.array(live)).tolist()
+        except DomainError:
+            if not na_cells:
+                raise
+            vals = [_defined(ev, x) for x in live]
+    vals = iter(vals)
     return [next(vals) if x > 0.0 else strike for x in taus]
 
 

@@ -129,9 +129,9 @@ class TauGrid:
 class BoundaryCurve:
     """Sampled early-exercise curve rho(tau) with linear interpolation.
 
-    rho(0) equals the strike and every sample lies in (0, strike].  Between
-    nodes the curve is evaluated by linear interpolation; S_f(t) is recovered
-    as rho(T - t).
+    The samples must match the grid in length and be finite and positive;
+    nothing here checks them against the strike.  Between nodes the curve is
+    evaluated by linear interpolation; S_f(t) is recovered as rho(T - t).
     """
 
     grid: TauGrid
@@ -144,10 +144,6 @@ class BoundaryCurve:
             raise DomainError("boundary values and grid differ in length")
         if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
             raise DomainError("boundary values must be finite and positive")
-
-    @property
-    def strike(self) -> float:
-        return float(self.rhos[0])
 
     def value(self, tau) -> float | np.ndarray:
         """Boundary level at time-to-maturity tau (scalar or array).  A tau

@@ -22,10 +22,10 @@ alone, so the unknowns eta(tau_1), ..., eta(tau_m) can be solved one node
 at a time.  solve_boundary keeps them in one array and solves node i by
 _solve_node, which reads only the values before it: Newton steps on the
 analytic slope of H(eta) = eta^2 + ln A(eta) from the value extrapolated
-from the two nodes before it, with a bracketed root find as the fallback.
-The very first node comes from the closed small-tau formula; below tau_1 the
-path is evaluated by that same formula, between nodes by linear
-interpolation.
+from the two nodes before it; a node those steps do not solve stops the
+solve with LogDomainError.  The very first node comes from the closed
+small-tau formula; below tau_1 the path is evaluated by that same formula,
+between nodes by linear interpolation.
 """
 
 from __future__ import annotations
@@ -39,14 +39,12 @@ import numpy as np
 from .asymptotics import _eta, _log_eta_argument, eta_lowest_order
 from .core import (
     BoundaryCurve,
-    BracketError,
     DomainError,
     MarketParams,
     NumericalError,
     TauGrid,
     _ROOT_TOL,
     _boole_weights,
-    find_root_bracketed,
 )
 
 __all__ = [
@@ -63,13 +61,12 @@ class MeshError(DomainError):
 
 
 class LogDomainError(NumericalError):
-    """The log argument A stayed at or below 0 over the whole root bracket."""
+    """Newton's steps do not solve a node's eta^2 + ln A = 0: A falls to or
+    below 0 at a step, a step does not shrink |eta^2 + ln A|, or the steps
+    run out."""
 
 
-#: times the root bracket of _solve_node doubles, from half-width 0.05 to 12.8
-BRACKET_DOUBLINGS = 8
-
-#: Newton steps _solve_node takes before it falls back to the bracket
+#: Newton steps _solve_node takes before the node fails
 _NEWTON_STEPS = 4
 
 #: subintervals of the Boole rule in theta on [0, pi/2]
@@ -227,19 +224,15 @@ def _solve_node(taus: np.ndarray, etas: np.ndarray, i: int, p: MarketParams) -> 
     H(eta) = eta^2 + ln A(eta) = 0 by Newton steps on the analytic slope
     H' = 2 eta - F'/(sqrt(pi) - F), from the linear extrapolation
     2 eta_{i-1} - eta_{i-2} of the two nodes before (the previous value at
-    node 2), and accepts a point with |H| <= _ROOT_TOL/2, the stop of the
-    bracketed root finder.  If ln A is -inf, a step does not shrink |H| or
-    _NEWTON_STEPS steps do not converge, the bracketed root finder takes
-    over, on a bracket of half-width 0.05 around the previous node's value
-    that doubles, up to BRACKET_DOUBLINGS times, until it encloses a sign
-    change.
+    node 2), and accepts a point with |H| <= _ROOT_TOL/2.  If ln A is -inf,
+    a step does not shrink |H| or _NEWTON_STEPS steps do not converge, the
+    node raises LogDomainError naming it, its tau and the start.
     """
     tau_i = float(taus[i])
     st = _theta_nodes()[0]
     F = _f_of_eta(tau_i, *_sample(taus, etas, i, tau_i * st * st, p), p)
     log_c = _log_eta_argument(tau_i, p) - math.log(2.0)
 
-    @functools.cache
     def h_and_slope(eta: float) -> tuple[float, float]:
         """H(eta) = eta^2 + ln A(eta), extended by -inf where A <= 0, and
         H'(eta); a root is a solution e^{-eta^2} = A of either sign."""
@@ -252,27 +245,10 @@ def _solve_node(taus: np.ndarray, etas: np.ndarray, i: int, p: MarketParams) -> 
     prev = float(etas[i - 1])
     start = 2.0 * prev - float(etas[i - 2]) if i > 2 else prev
     eta = _newton(h_and_slope, start, 0.5 * _ROOT_TOL)
-    if eta is not None:
-        return eta
-
-    def H(eta: float) -> float:
-        return h_and_slope(eta)[0]
-
-    for doublings in range(BRACKET_DOUBLINGS + 1):
-        half = 0.05 * 2.0**doublings
-        lo, hi = prev - half, prev + half
-        if min(H(lo), H(hi)) <= 0.0 <= max(H(lo), H(hi)):
-            break
-    else:
-        error = LogDomainError if math.isinf(H(lo)) or math.isinf(H(hi)) else BracketError
-        raise error(
-            f"node {i} (tau={tau_i:g}): no sign change of eta^2 + ln A on [{lo:.6g}, {hi:.6g}]"
-        )
-
-    eta = find_root_bracketed(H, lo, hi)
-    if not abs(H(eta)) <= _ROOT_TOL:
+    if eta is None:
         raise LogDomainError(
-            f"node {i} (tau={tau_i:g}): converged point invalid, residual {H(eta)!r}"
+            f"node {i} (tau={tau_i:g}): Newton's steps from eta={start:.6g} "
+            "do not solve eta^2 + ln A = 0"
         )
     return eta
 

@@ -152,8 +152,9 @@ def rho_zhu(tau, p: MarketParams):
     call bit for bit.  Below SMALL_TAU_CUTOFF the damping would outrun the
     grid, so the small-tau asymptote takes those elements and one
     SmallTauSubstitution warning flags them.  Raises DomainError for any tau
-    <= 0, NaN or inf and TailTooHeavyError when the truncated tail of any tau
-    exceeds _TAIL_ALLOWANCE.
+    <= 0, NaN or inf, DomainError naming the first tau whose rho leaves
+    (0, E], and TailTooHeavyError when the truncated tail of any tau exceeds
+    _TAIL_ALLOWANCE.
     """
     t = np.asarray(tau, dtype=float).ravel()
     ok = (t > 0) & np.isfinite(t)
@@ -172,6 +173,10 @@ def rho_zhu(tau, p: MarketParams):
     if not small.all():
         integral = _damped_integral(t[~small], p, power=0)
         out[~small] = p.perpetual_boundary + (2.0 * p.strike / math.pi) * integral
+    bad = ~((out > 0.0) & (out <= p.strike))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(f"zhu formula leaves (0, E] at tau={t[k]:g}: rho={out[k]:.6g}")
     return float(out[0]) if np.ndim(tau) == 0 else out.reshape(np.shape(tau))
 
 

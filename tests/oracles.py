@@ -353,9 +353,9 @@ def ssch_bracket_eta_at(taus, etas, i, p, tol: float = 1e-10) -> float:
     """eta at node i >= 2 of an ssch path with etas[1:i] solved, by the
     bracketed root finder alone: H(eta) = eta^2 + ln A(eta), -inf where
     A <= 0, on a bracket of half-width 0.05 around the previous node's value
-    that doubles up to ssch.BRACKET_DOUBLINGS times until it encloses a sign
-    change, then Brent's method, whose root must leave |H| <= tol.  The
-    reference for the Newton steps of ssch._solve_node."""
+    that doubles up to 8 times until it encloses a sign change, then Brent's
+    method, whose root must leave |H| <= tol.  The reference for the Newton
+    steps of ssch._solve_node."""
     import functools
 
     from putboundary import ssch
@@ -372,7 +372,7 @@ def ssch_bracket_eta_at(taus, etas, i, p, tol: float = 1e-10) -> float:
         return eta * eta + ssch._log_a(F(eta)[0], log_c)
 
     prev = float(etas[i - 1])
-    for doublings in range(ssch.BRACKET_DOUBLINGS + 1):
+    for doublings in range(9):  # half-widths 0.05 to 12.8
         lo, hi = prev - 0.05 * 2.0**doublings, prev + 0.05 * 2.0**doublings
         if min(H(lo), H(hi)) <= 0.0 <= max(H(lo), H(hi)):
             break

@@ -9,11 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from putboundary import (
-    CLOSED_FORMS,
     DomainError,
     MarketParams,
     SmallTauSubstitution,
@@ -234,10 +233,26 @@ class TestClosedFormRange:
             "putboundary: domain error: gamma = 2r/sigma^2 = 2e+299 too large: a^2 overflows\n"
         )
 
-    @pytest.mark.xfail(strict=True, reason="the integral formula's own value below gamma0")
-    def test_zhu_positive_at_small_gamma(self):
-        """gamma = 2.2e-5: the integral formula itself gives rho(1) = -0.243547."""
-        assert rho_zhu(1.0, MarketParams(r=1e-6, sigma=0.3, strike=100.0)) > 0.0
+    def test_zhu_below_zero_at_small_gamma_is_a_domain_error(self, capsys):
+        """gamma = 2.2e-5: the integral formula itself gives rho(1) = -0.243547.
+        rho_zhu raises naming tau and rho, on a scalar and on an array;
+        `boundary` exits 2, and `compare` prints n/a in that cell alone."""
+        p = MarketParams(r=1e-6, sigma=0.3, strike=100.0)
+        message = r"zhu formula leaves \(0, E\] at tau=1: rho=-0\.243547"
+        for tau in (1.0, np.array([0.01, 1.0])):
+            with pytest.raises(DomainError, match=message):
+                rho_zhu(tau, p)
+        argv = ("boundary", "--method", "zhu", "--r", "1e-6", "--tau", "1")
+        assert run_cli(capsys, *argv) == (EXIT_DOMAIN, "", (
+            "putboundary: domain error: zhu formula leaves (0, E] at tau=1: rho=-0.243547\n"
+        ))
+        argv = ("compare", "--method", "zhu,ssc-a", "--benchmark", "ssc-a", "--r", "1e-6",
+                "--tau", "0.01,1")
+        assert run_cli(capsys, *argv) == (EXIT_OK, (
+            "tau,zhu,ssc-a,relerr_zhu\n"
+            "0.01,69.8636,85.7026,0.184814\n"
+            "1,n/a,25.6125,n/a\n"
+        ), "")
 
 
 class TestGamma0Command:
@@ -687,7 +702,7 @@ class TestEntryPoint:
         assert run_module("--bogus").returncode == EXIT_USAGE
 
     def test_compare_failure_independent_of_hash_seed(self, capsys):
-        """Two solvers fail here, each on its own: ssch at node 15, and psor
+        """Two solvers fail here, each on its own: ssch at node 10, and psor
         at level 1 of a grid too narrow for the exercise region.  The first
         listed, ssch, is reported under every hash seed."""
         grid = ("--tau", "1e4", "--m", "200", "--n", "50", "--L", "0.05")
@@ -701,7 +716,7 @@ class TestEntryPoint:
         for run in runs:
             assert run.returncode == EXIT_NUMERICAL and run.stdout == ""
             assert run.stderr.startswith(
-                "putboundary: numerical failure: boundary solve failed at node 15"
+                "putboundary: numerical failure: boundary solve failed at node 10"
             )
         assert runs[0].stderr == runs[1].stderr
 
@@ -783,12 +798,22 @@ def command_lines(draw):
     return argv
 
 
+#: the flags common to both examples of test_cli_contract
+_EXAMPLE_GRID = ["--precision=6", "--m=4", "--n=8", "--L=1"]
+
+
 @given(command_lines())
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+# three nodes that a bracketed search once rescued gave rho(5) = 4.24 E
+@example(["boundary", "--r=0.3", "--sigma=5", "--E=37.5", *_EXAMPLE_GRID, "--method=ssch",
+          "--tau=0.5,5"])
+# the integral formula's own value at gamma = 2.2e-5 is rho(1) = -0.243547
+@example(["boundary", "--r=1e-6", "--sigma=0.3", "--E=100", *_EXAMPLE_GRID, "--method=zhu",
+          "--tau=1"])
 def test_cli_contract(argv):
     """Over the flag space: a documented exit code, stderr only in the
-    program's own typed lines, and on success every closed-form rho cell in
-    (0, E], as printed at the requested precision."""
+    program's own typed lines, and on success every rho cell of every
+    method in (0, E], as printed at the requested precision."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -804,6 +829,6 @@ def test_cli_contract(argv):
     header, rows = parse_csv(out)
     methods = header[1:] if argv[0] == "compare" else [flags["method"]]
     for k, method in enumerate(methods, start=1):
-        if method in CLOSED_FORMS:
+        if method in cli.ALL_METHODS:
             for row in rows:
                 assert row[k] == "n/a" or 0.0 < float(row[k]) <= strike, (argv, method, row)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from putboundary import (
-    BracketError,
     LogDomainError,
     MarketParams,
     MeshError,
@@ -204,27 +203,10 @@ class TestNodeSolve:
     @staticmethod
     def _flat_log_argument(monkeypatch, A):
         """H(eta) = eta^2 + ln A, whatever F is, with ln A = -inf for
-        A <= 0.  H' then no longer follows from F', so the Newton steps are
-        switched off and the bracket path solves."""
+        A <= 0, so Newton's first step meets ln A = -inf and the node
+        fails."""
         log_a = math.log(A) if A > 0.0 else -math.inf
         monkeypatch.setattr(ssch, "_log_a", lambda F, log_c: log_a)
-        monkeypatch.setattr(ssch, "_NEWTON_STEPS", 0)
-
-    def test_root_in_last_widened_bracket(self, params, monkeypatch):
-        """With H(eta) = eta^2 - 100 and the previous eta at -20, the first
-        bracket to enclose the root -10 is the one after the eighth
-        doubling, [-32.8, -7.2]; the one before it, [-26.4, -13.6], does not."""
-        self._flat_log_argument(monkeypatch, math.exp(-100.0))
-        assert ssch.BRACKET_DOUBLINGS == 8
-        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        eta = _solve_node(grid.taus, path(grid, [-20.0]), 2, params)
-        assert eta == pytest.approx(-10.0, abs=1e-9)
-
-    def test_root_beyond_last_bracket_names_the_node(self, params, monkeypatch):
-        self._flat_log_argument(monkeypatch, math.exp(-100.0))
-        grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
-        with pytest.raises(BracketError, match=r"node 2 \(tau=0\.004\)"):
-            _solve_node(grid.taus, path(grid, [-30.0]), 2, params)
 
     def test_log_argument_never_positive_names_the_node(self, params, monkeypatch):
         self._flat_log_argument(monkeypatch, -1.0)
@@ -247,13 +229,13 @@ class TestNodeSolve:
         with pytest.raises(NumericalError, match=r"non-finite integrand .* tau=0\.5"):
             _f_of_eta(0.5, base, 0.0, params)(-0.5)
 
-    def test_log_argument_never_positive_falls_back_past_node_two(self, params, monkeypatch):
-        """ln A = -inf at the extrapolated start sends a later node to the
-        bracket path too, with the bracket path's error."""
-        monkeypatch.setattr(ssch, "_log_a", lambda F, log_c: -math.inf)
+    def test_log_argument_never_positive_names_a_later_node(self, params, monkeypatch):
+        """ln A = -inf at the extrapolated start 2 eta_3 - eta_2 = -0.9
+        fails a later node too, naming it, its tau and the start."""
+        self._flat_log_argument(monkeypatch, -1.0)
         grid = build_mesh(0.1, 10, MeshKind.QUADRATIC, params)
         etas = path(grid, [-1.2, -1.1, -1.0])
-        with pytest.raises(LogDomainError, match=r"node 4 \(tau=0\.016\): no sign change"):
+        with pytest.raises(LogDomainError, match=r"node 4 \(tau=0\.016\): .* from eta=-0\.9 "):
             _solve_node(grid.taus, etas, 4, params)
 
 
@@ -404,6 +386,29 @@ class TestNewtonSteps:
         solve_boundary(p, 5.0, 200)
         assert calls[0] / 199 <= 3.6  # node 1 is the closed form
 
+    @pytest.mark.parametrize("r", [0.05, 0.15])
+    @pytest.mark.parametrize("sigma", [0.2, 0.4])
+    def test_newton_solves_every_node_of_the_long_horizon_band(self, r, sigma, monkeypatch):
+        """The corners of the benchmark's long-horizon band, r in
+        [0.05, 0.15] and sigma in [0.2, 0.4], over T = 5 on 100 nodes:
+        Newton's steps solve every node."""
+        results = []
+
+        def spy(h_and_slope, eta, tol):
+            results.append(_newton(h_and_slope, eta, tol))
+            return results[-1]
+
+        monkeypatch.setattr(ssch, "_newton", spy)
+        solve_boundary(MarketParams(r=r, sigma=sigma, strike=100.0), 5.0, 100)
+        assert len(results) == 99 and None not in results
+
+    def test_unsolved_node_is_an_error_not_a_boundary(self):
+        """gamma = 0.024 on four quadratic steps to T = 5: Newton's steps do
+        not solve node 2.  A bracketed search once rescued it and two later
+        nodes and returned rho(5) = 4.24 E."""
+        with pytest.raises(LogDomainError, match=r"failed at node 2: node 2 \(tau=1\.25\)"):
+            solve_boundary(MarketParams(r=0.3, sigma=5.0, strike=37.5), 5.0, 4)
+
     def test_high_gamma_failure_is_typed_and_named(self):
         """gamma = 12 over five years still stops, with a typed error that
         names the node and tau."""
@@ -416,10 +421,10 @@ class TestNewtonSteps:
     )
     def test_high_gamma_stops_or_stays_above_perpetual(self, r, sigma, m):
         """gamma = 12-17 over five years: the path drops below the perpetual
-        boundary gamma E/(1+gamma) before the last node, and only the
-        residual test at a later node stops the solve.  A change of the
-        node solve may make it accurate, or keep it stopping, but must not
-        turn it into a boundary below the perpetual one with no error."""
+        boundary gamma E/(1+gamma) before the last node, and only a later
+        node that Newton's steps do not solve stops the solve.  A change of
+        the node solve may make it accurate, or keep it stopping, but must
+        not turn it into a boundary below the perpetual one with no error."""
         p = MarketParams(r=r, sigma=sigma, strike=100.0)
         try:
             curve = solve_boundary(p, 5.0, m)
