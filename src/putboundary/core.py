@@ -3,7 +3,8 @@
 Everything downstream (closed-form approximations, the iterative
 integral-equation solver, the finite-difference benchmark, price-gap
 integrals) is built on the primitives in this module: the normal CDF,
-composite Newton-Cotes (Boole) weights and Brent's bracketed root finder.
+composite Newton-Cotes (Boole) weights for ssch's F integral and Brent's
+bracketed root finder.
 All functions are pure and safe to call concurrently.
 """
 

@@ -18,25 +18,21 @@ at every spot S the inner integral is a difference of normal CDFs:
     gamma_app = [ln(S/rho_app(xi)) + (r - sigma^2/2)(tau - xi)] / (sigma sqrt(tau - xi))
 
 and gamma is the same expression with rho(xi) in place of rho_app(xi).
-At the true boundary S = rho(tau).  The integrable endpoint singularity
-at xi -> tau is removed by substituting s = sqrt(tau - xi).  The double
-integral itself, with its own numeric inner quadrature, is the independent
-reference in tests/oracles.py.
+At the true boundary S = rho(tau).  Substituting xi = tau sin^2(theta)
+removes both endpoint singularities, at xi -> tau and the sqrt(xi) one of
+every boundary at expiry; Gauss-Legendre in theta then needs 512 nodes.
+The double integral itself, with its own numeric inner quadrature, is the
+independent reference in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    MarketParams,
-    _boole_weights,
-    _eval_on_nodes,
-    norm_cdf,
-)
+from .core import DomainError, MarketParams, _eval_on_nodes, norm_cdf
 
 __all__ = [
     "DegenerateDenominatorError",
@@ -48,8 +44,13 @@ __all__ = [
 ]
 
 
-#: subintervals of the Boole rule in s = sqrt(tau - xi)
-_GAP_SUBINTERVALS = 1000
+#: equal panels in theta on [0, pi/2], each with the 8-point Gauss-Legendre rule
+_GAP_PANELS = 64
+
+#: the 8-point Gauss-Legendre rule's positive nodes on [-1, 1] and their weights,
+#: written out so that no numpy.polynomial import is needed
+_GL8_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL8_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
 
 
 class DegenerateDenominatorError(DomainError):
@@ -85,37 +86,47 @@ def price_gap_at_boundary(rho, rho_app, tau: float, p: MarketParams) -> float:
     return price_gap_full(rho, rho_app, float(rho(tau)), tau, p)
 
 
+@functools.cache
+def _gap_nodes(panels: int):
+    """sin^2(theta), cos(theta) and the weights of dxi/tau = 2 sin cos dtheta
+    at the Gauss-Legendre nodes of `panels` equal panels on [0, pi/2]; built
+    on first use.  The weights sum to 1."""
+    x = np.array(_GL8_NODES)
+    x, w = np.concatenate((-x[::-1], x)), np.array(_GL8_WEIGHTS[::-1] + _GL8_WEIGHTS)
+    h = (math.pi / 2.0) / panels
+    theta = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) * h).ravel()
+    sin, cos = np.sin(theta), np.cos(theta)
+    return sin * sin, cos, np.tile(w, panels) * (h * sin * cos)
+
+
 def price_gap_full(rho, rho_app, S: float, tau: float, p: MarketParams) -> float:
     """Price difference at spot S from holding rho_app instead of rho.
 
-    r E int_0^tau e^{-r(tau-xi)} |N(gamma_app) - N(gamma)| dxi with the
-    endpoint handled by the s = sqrt(tau - xi) substitution and Boole's
-    rule in s; identically 0 when the curves coincide and nonnegative always.
-    The last node is expiry, where both curves equal the strike, so each
-    curve is evaluated only on the n nodes before it: once on all of them
-    when it takes arrays, and once per node when it only takes scalars.
-    tau, S and every node value must be positive and finite.
+    r E int_0^tau e^{-r(tau-xi)} |N(gamma_app) - N(gamma)| dxi in theta,
+    xi = tau sin^2(theta), by Gauss-Legendre on 512 nodes, all strictly
+    inside (0, tau), so there is no expiry node; identically 0 when the
+    curves coincide and nonnegative always.  Each curve is evaluated once on
+    all the nodes when it takes arrays, and once per node when it only takes
+    scalars.  tau, S and every node value must be positive and finite.
     """
     _check_positive_finite("tau", tau)
     _check_positive_finite("price", S)
-    n = _GAP_SUBINTERVALS
+    sin2, cos, w = _gap_nodes(_GAP_PANELS)
     drift = p.r - 0.5 * p.sigma**2
 
-    smax = math.sqrt(tau)
-    s = np.linspace(0.0, smax, n + 1)
-    xi = tau - s[:-1] * s[:-1]
-    r_true = np.append(_eval_on_nodes(rho, xi), p.strike)
-    r_app = np.append(_eval_on_nodes(rho_app, xi), p.strike)
+    xi = tau * sin2
+    r_true = _eval_on_nodes(rho, xi)
+    r_app = _eval_on_nodes(rho_app, xi)
     if not np.all((0 < r_true) & (r_true < np.inf) & (0 < r_app) & (r_app < np.inf)):
         raise DomainError("boundary curves must be positive and finite on (0, tau]")
 
+    # s = sqrt(tau - xi) from sqrt(tau), so that s > 0 even for a subnormal tau
+    s = math.sqrt(tau) * cos
     with np.errstate(divide="ignore", invalid="ignore"):
         g_app = (np.log(S / r_app) + drift * s * s) / (p.sigma * s)
         g_true = (np.log(S / r_true) + drift * s * s) / (p.sigma * s)
-    vals = 2.0 * s * np.exp(-p.r * s * s) * np.abs(norm_cdf(g_app) - norm_cdf(g_true))
-    vals[0] = 0.0  # integrand vanishes like s at the substituted endpoint
-    w = _boole_weights(n) * (2.0 * (smax / n) / 45.0)
-    return p.r * p.strike * float(np.dot(w, vals))
+    vals = np.exp(-p.r * s * s) * np.abs(norm_cdf(g_app) - norm_cdf(g_true))
+    return p.r * p.strike * float(np.dot(w, vals)) * tau
 
 
 def mispricing_err(rho, rho_app, tau: float, p: MarketParams) -> float:

@@ -137,43 +137,96 @@ def price_gap_full_rows(rho, rho_app, S, tau, p, n: int = 1000) -> float:
         r E int_0^tau | int_{ln(rho_app(xi)/E)}^{ln(rho(xi)/E)}
             G(x - s, tau - xi) e^{alpha_p (x - s) + beta_p (tau - xi)} ds | dxi,
 
-    x = ln(S/E): one Python loop over the outer nodes (s = sqrt(tau - xi),
-    Boole's rule), each inner integral by Boole's rule on its own
-    np.linspace grid.  The package collapses the inner integral to a
-    difference of normal CDFs; this route integrates the kernel numerically,
-    so it converges to the package's value as the subinterval count n grows.
-    Both curves are evaluated on the n nodes before expiry; the last node
-    is expiry, xi = 0, where each equals the strike.
+    x = ln(S/E): one Python loop over the package's outer nodes
+    (xi = tau sin^2 theta, from pricing._gap_nodes), each inner integral by
+    Boole's rule on its own np.linspace grid of n subintervals.  The package
+    collapses the inner integral to a difference of normal CDFs; this route
+    integrates the kernel numerically, so it converges to the package's
+    value as n grows.
     """
+    from putboundary import pricing
     from putboundary.core import _boole_weights, _eval_on_nodes
 
     E = p.strike
     alpha_p, beta_p = price_transform_consts(p)
     x = math.log(S / E)
 
-    smax = math.sqrt(tau)
-    st = np.linspace(0.0, smax, n + 1)
-    xi = tau - st[:-1] * st[:-1]
-    r_true = np.append(_eval_on_nodes(rho, xi), E)
-    r_app = np.append(_eval_on_nodes(rho_app, xi), E)
-    lo = np.log(r_app / E)
-    hi = np.log(r_true / E)
+    sin2, cos, w_out = pricing._gap_nodes(pricing._GAP_PANELS)
+    xi = tau * sin2
+    lo = np.log(_eval_on_nodes(rho_app, xi) / E)
+    hi = np.log(_eval_on_nodes(rho, xi) / E)
 
     w_in = _boole_weights(n) / 45.0 * 2.0
-    outer_vals = np.empty(n + 1)
-    outer_vals[0] = 0.0
-    for k in range(1, n + 1):
-        wgt = st[k] * st[k]  # tau - xi
+    outer_vals = np.zeros(xi.size)
+    for k in range(xi.size):
+        wgt = tau * cos[k] * cos[k]  # tau - xi
         a, b = lo[k], hi[k]
         if a == b:
-            outer_vals[k] = 0.0
             continue
         z = x - np.linspace(a, b, n + 1)
         inner_vals = heat_kernel(z, wgt, p.sigma) * np.exp(alpha_p * z)
         inner = (b - a) / n * float(np.dot(w_in, inner_vals))
-        outer_vals[k] = 2.0 * st[k] * math.exp(beta_p * wgt) * abs(inner)
-    w_out = _boole_weights(n) * (2.0 * (smax / n) / 45.0)
-    return p.r * E * float(np.dot(w_out, outer_vals))
+        outer_vals[k] = math.exp(beta_p * wgt) * abs(inner)
+    return p.r * E * tau * float(np.dot(w_out, outer_vals))
+
+
+def _curve_values(f, x: np.ndarray) -> np.ndarray:
+    try:
+        y = np.asarray(f(x), dtype=float)
+        if y.shape == x.shape:
+            return y
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(f(v)) for v in x.tolist()])
+
+
+def price_gap_split(rho, rho_app, S, tau, p, knots=(), panels: int = 256, scan: int = 16):
+    """The price gap at spot S, r E int_0^tau e^{-r(tau-xi)} |N(gamma_app) - N(gamma)| dxi,
+    in theta with xi = tau sin^2 theta: `panels` equal panels on [0, pi/2],
+    split further at each knot in xi (a truth's mesh nodes, where it has
+    kinks) and at every crossing rho = rho_app (a kink of the integrand),
+    then 10-point Gauss-Legendre on 4 equal sub-panels of each piece, so
+    that no piece holds a kink.  A crossing is a sign change of
+    rho - rho_app on `scan` equal steps of a piece, refined by 60
+    bisections; two crossings within one step are missed.  N is written with
+    math.erfc.  The reference for the equal panels of pricing.price_gap_full."""
+    inside = [math.asin(math.sqrt(k / tau)) for k in knots if 0.0 < k < tau]
+    edges = np.union1d(np.linspace(0.0, math.pi / 2.0, panels + 1), inside)
+    steps = np.arange(scan) / scan
+    t = np.append((edges[:-1, None] + np.diff(edges)[:, None] * steps).ravel(), math.pi / 2.0)
+    xi = tau * np.sin(t) ** 2
+    d = _curve_values(rho, xi) - _curve_values(rho_app, xi)
+
+    def diff(theta):
+        xi = tau * math.sin(theta) ** 2
+        return float(rho(xi)) - float(rho_app(xi))
+
+    cuts = edges.tolist()
+    for i in np.nonzero(d[:-1] * d[1:] < 0.0)[0].tolist():
+        lo, hi, d_lo = t[i], t[i + 1], d[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            d_mid = diff(mid)
+            if (d_mid < 0.0) == (d_lo < 0.0):
+                lo, d_lo = mid, d_mid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
+    cuts = np.sort(cuts)
+    ends = cuts[:-1, None] + np.diff(cuts)[:, None] * np.linspace(0.0, 1.0, 5)
+    lo, hi = ends[:, :4].ravel(), ends[:, 1:].ravel()
+    x, w = np.polynomial.legendre.leggauss(10)
+    theta = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x).ravel()
+    weight = (0.5 * (hi - lo)[:, None] * w).ravel()
+
+    xi, s = tau * np.sin(theta) ** 2, math.sqrt(tau) * np.cos(theta)
+    drift = p.r - 0.5 * p.sigma**2
+    g_app = (np.log(S / _curve_values(rho_app, xi)) + drift * s * s) / (p.sigma * s)
+    g_true = (np.log(S / _curve_values(rho, xi)) + drift * s * s) / (p.sigma * s)
+    ncdf = lambda g: np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in g.tolist()])
+    vals = 2.0 * tau * np.sin(theta) * np.cos(theta) * np.exp(-p.r * s * s)
+    vals *= np.abs(ncdf(g_app) - ncdf(g_true))
+    return p.r * p.strike * float(np.dot(weight, vals))
 
 
 def _zhu_kernels_nc(zeta: np.ndarray, gamma: float):

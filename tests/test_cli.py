@@ -297,25 +297,26 @@ class TestMispricingCommand:
 
 #: stdout of `putboundary mispricing --benchmark ssch --E 1 --points 6 --m 60`
 #: at the default precision; faster pricing code must print these bytes
-#: unchanged (zhu frozen with the integral at every pricing node, the same to
-#: 9 digits on 300, 1,200 and 4,800 trapezoid nodes)
+#: unchanged, and a change to the price-gap rule regenerates them and lists
+#: the moved cells (zhu frozen with the integral at every pricing node, the
+#: same to 9 digits on 300, 1,200 and 4,800 trapezoid nodes)
 MISPRICING_GOLDEN = {
     "ssc-a": (
         "tau,eps,err\n"
         "1.66667e-06,0,0.0954459\n"
-        "8.57253e-06,2.21345e-05,0.0197572\n"
-        "4.4093e-05,-6.23473e-05,0.01457\n"
-        "0.000226793,-0.000209958,0.0247843\n"
-        "0.00116652,-0.000692716,0.0378247\n"
-        "0.006,-0.00242065,0.0603643\n"
+        "8.57253e-06,2.21345e-05,0.0197566\n"
+        "4.4093e-05,-6.23473e-05,0.0145701\n"
+        "0.000226793,-0.000209958,0.0247845\n"
+        "0.00116652,-0.000692716,0.0378256\n"
+        "0.006,-0.00242065,0.0603645\n"
     ),
     "kk": (
         "tau,eps,err\n"
-        "1.66667e-06,-4.48141e-05,0.067197\n"
-        "8.57253e-06,-8.58891e-05,0.0474694\n"
-        "4.4093e-05,-0.000324062,0.0673692\n"
-        "0.000226793,-0.000850032,0.0839293\n"
-        "0.00116652,-0.00229905,0.104835\n"
+        "1.66667e-06,-4.48141e-05,0.0671971\n"
+        "8.57253e-06,-8.58891e-05,0.0474701\n"
+        "4.4093e-05,-0.000324062,0.0673689\n"
+        "0.000226793,-0.000850032,0.0839297\n"
+        "0.00116652,-0.00229905,0.104836\n"
         "0.006,-0.00676963,0.139356\n"
     ),
     "zhu": (
@@ -324,8 +325,8 @@ MISPRICING_GOLDEN = {
         "8.57253e-06,0.00178712,0.644386\n"
         "4.4093e-05,0.00316546,0.570199\n"
         "0.000226793,0.00547746,0.510852\n"
-        "0.00116652,0.00889846,0.441558\n"
-        "0.006,0.0131704,0.358139\n"
+        "0.00116652,0.00889846,0.44156\n"
+        "0.006,0.0131704,0.358141\n"
     ),
 }
 
@@ -350,12 +351,12 @@ def test_mispricing_psor_benchmark_golden_stdout(capsys):
     assert code == EXIT_OK
     assert out == (
         "tau,eps,err\n"
-        "0.00012,0.00291596,0.493131\n"
-        "0.000262407,0.00338669,0.418753\n"
-        "0.000573811,0.00342797,0.320806\n"
+        "0.00012,0.00291596,0.493132\n"
+        "0.000262407,0.00338669,0.418754\n"
+        "0.000573811,0.00342797,0.320807\n"
         "0.00125477,0.0029914,0.22135\n"
-        "0.00274383,0.00176912,0.120555\n"
-        "0.006,-0.000899493,0.0387684\n"
+        "0.00274383,0.00176912,0.120557\n"
+        "0.006,-0.000899493,0.0387745\n"
     )
 
 
@@ -743,17 +744,17 @@ def test_warnings_are_typed_lines(capsys):
     # in process too, and again on a second call
     assert run_cli(capsys, *argv) == (EXIT_OK, run.stdout, run.stderr)
     assert run_cli(capsys, *argv) == (EXIT_OK, run.stdout, run.stderr)
-    # a sweep whose pricing nodes reach 2.4e-7 integrates them and warns nothing
+    # a sweep whose pricing nodes reach 2.8e-11 integrates them and warns nothing
     argv = ("mispricing", "--E", "1", "--points", "6", "--n", "200", "--m", "100",
             "--method", "zhu")
     assert run_cli(capsys, *argv) == (EXIT_OK, (
         "tau,eps,err\n"
-        "0.00012,0.00489965,0.655258\n"
-        "0.000262407,0.00631423,0.603653\n"
+        "0.00012,0.00489965,0.655259\n"
+        "0.000262407,0.00631423,0.603654\n"
         "0.000573811,0.00775518,0.532625\n"
-        "0.00125477,0.00940413,0.468792\n"
-        "0.00274383,0.0113143,0.413899\n"
-        "0.006,0.0134094,0.365464\n"
+        "0.00125477,0.00940413,0.468793\n"
+        "0.00274383,0.0113143,0.413901\n"
+        "0.006,0.0134094,0.365469\n"
     ), "")
 
 

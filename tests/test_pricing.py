@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,10 @@ from putboundary import (
     mispricing_err,
     price_gap_at_boundary,
     price_gap_full,
+    rho_chen_chadam,
+    rho_ekk,
+    rho_kk,
+    rho_ssc_analytic,
     rho_zhu,
     rho_zhu_asymptote,
     solve_boundary,
@@ -113,10 +122,12 @@ class TestGapAtBoundary:
         assert g_far >= g_near > 0.0
 
     def test_endpoint_grid_invariance(self, params, short_curve, monkeypatch):
+        """Doubling the panels of the rule in theta moves the gap by less
+        than 1e-8 E, and not by 0."""
         app = asymptote_fn(params)
-        assert pricing._GAP_SUBINTERVALS == 1000
+        assert pricing._GAP_PANELS == 64
         a = price_gap_at_boundary(short_curve, app, 0.01, params)
-        monkeypatch.setattr(pricing, "_GAP_SUBINTERVALS", 2000)
+        monkeypatch.setattr(pricing, "_GAP_PANELS", 128)
         b = price_gap_at_boundary(short_curve, app, 0.01, params)
         assert a != b and abs(a - b) < 1e-8 * params.strike
 
@@ -127,18 +138,21 @@ class TestGapAtBoundary:
 
 class TestExpiryNode:
     def test_curves_not_sampled_at_expiry(self, params):
-        """The last node is expiry, where the strike is taken: each curve is
-        evaluated on the n nodes before it, all at least tau/n from expiry."""
-        n = pricing._GAP_SUBINTERVALS
-        lowest = []
+        """Each curve is evaluated once, on the 512 nodes of the rule, and
+        every node lies strictly inside (0, tau): neither expiry nor tau
+        itself is a node."""
+        seen = []
 
         def spy(xi):
-            lowest.append(float(np.min(xi)))
+            seen.append(np.array(xi))
             return np.full(np.shape(xi), 0.9 * params.strike)
 
         for tau in np.geomspace(1e-8, 5.0, 200).tolist():
+            seen.clear()
             price_gap_full(spy, spy, 0.9 * params.strike, tau, params)
-            assert lowest[-1] >= tau / n, tau
+            assert len(seen) == 2, tau
+            for xi in seen:
+                assert xi.size == 512 and np.all((0.0 < xi) & (xi < tau)), tau
 
 
 NAN_CURVE = lambda t: np.full(np.shape(t), np.nan)
@@ -187,14 +201,20 @@ class TestGapFull:
         assert full == direct > 0.0
 
     @pytest.mark.parametrize("market", GAP_MARKETS)
-    def test_matches_double_integral_oracle(self, market, monkeypatch):
+    def test_matches_double_integral_oracle(self, market):
         """The closed form against the oracle's numeric inner integral, with
         S on the boundary, below it and above the strike, and with curves
-        that coincide for xi <= 0.03.  Both use the same outer rule, so the
-        difference is the oracle's inner-quadrature error: at n = 1000 it is
-        at most 2.5e-6 relative over these markets (gamma near gamma0, the
-        smallest gaps), and it shrinks ~16x when n grows to 4000 wherever it
-        stands above rounding."""
+        that coincide for xi <= 0.03.  Both use the package's outer nodes,
+        so the difference is the oracle's inner-quadrature error: at n = 1000
+        it is at most 1.4e-6 relative over these markets, and it shrinks at
+        least 8x when n grows to 16000 wherever it stands above rounding.
+
+        Nearly all of that error comes from the outer node nearest xi = tau,
+        where the heat kernel's width sigma sqrt(tau - xi) is below one
+        inner step (0.28 steps at gamma0, tau = 0.01, S = rho, n = 1000;
+        1.1 at n = 4000).  So it is still pre-asymptotic at n = 4000, where
+        that cell shrinks only 6.3x; at n = 16000 the kernel spans 4.4
+        steps and the cell's error is 1e-14 relative."""
         p = GAP_MARKETS[market]
         truth = solve_boundary(p, 0.12, 60)
         app = asymptote_fn(p)
@@ -211,13 +231,95 @@ class TestGapFull:
                 # gaps that underflow to ~1e-230 E differ only in absolute terms
                 assert diff <= 4e-6 * want + 1e-20 * p.strike, (market, tau, S)
                 if diff > 1e-11 * want + 1e-20 * p.strike:
-                    with monkeypatch.context() as fine:
-                        fine.setattr(pricing, "_GAP_SUBINTERVALS", 4000)
-                        got = price_gap_full(truth, rho_app, S, tau, p)
-                    want = oracles.price_gap_full_rows(truth, rho_app, S, tau, p, 4000)
+                    want = oracles.price_gap_full_rows(truth, rho_app, S, tau, p, 16000)
                     assert abs(got - want) < diff / 8.0, (market, tau, S)
                     refined += 1
         assert refined >= 1
+
+
+#: the closed forms the mispricing sweep scores
+CLOSED_FORMS = (rho_kk, rho_ekk, rho_ssc_analytic, rho_chen_chadam, rho_zhu_asymptote)
+
+
+class TestGapRule:
+    """The rule itself: 64 panels in theta of the 8-point Gauss-Legendre rule."""
+
+    def test_literal_rule_is_gauss_legendre(self):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(8)
+        for got, want in ((pricing._GL8_NODES, x[4:]), (pricing._GL8_WEIGHTS, w[4:])):
+            assert np.all(np.abs(np.array(got) - want) <= 2.0 * np.spacing(want))
+        sin2, cos, weights = pricing._gap_nodes(pricing._GAP_PANELS)
+        assert sin2.size == cos.size == weights.size == 512
+        assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=1e-15)
+
+    def test_no_numpy_polynomial_on_the_import_path(self):
+        """The literal constants keep numpy.polynomial out of a process that
+        imports the CLI and prices one gap."""
+        code = (
+            "import sys, putboundary.cli\n"
+            "from putboundary import MarketParams, price_gap_full\n"
+            "p = MarketParams(0.1, 0.3, 100.0)\n"
+            "assert price_gap_full(lambda t: 95.0, lambda t: 94.0, 95.0, 0.01, p) > 0\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+    def test_no_worse_than_boole_1000_against_split_reference(self):
+        """Relative gap error of the rule against oracles.price_gap_split, the
+        mesh- and crossing-split reference, on one near-expiry market with
+        the m = 80 ssch truth: 5 closed forms x 8 geometric taus from twice
+        the first mesh node to 0.006.  The bounds are what Boole's rule on
+        1000 subintervals in sqrt(tau - xi) measures on this corpus, max
+        6.31e-4 and median 4.80e-6; this rule measures 1.09e-4 and 7.7e-7,
+        and 32 panels (256 nodes) 7.07e-4 and 6.7e-6, which fails both.
+        The worst cells are chen-chadam, which crosses the piecewise-linear
+        truth twice in most mesh cells."""
+        p = MarketParams(r=0.1, sigma=0.3, strike=1.0)
+        truth = solve_boundary(p, 0.006, 80)
+        lo = 2.0 * float(truth.grid.taus[1])
+        errors = []
+        for form in CLOSED_FORMS:
+            app = lambda t, form=form: p.strike if t == 0.0 else form(t, p)
+            for tau in [lo * (0.006 / lo) ** (i / 7) for i in range(8)]:
+                S = float(truth.value(tau))
+                want = oracles.price_gap_split(truth, app, S, tau, p, truth.grid.taus)
+                errors.append(abs(price_gap_full(truth, app, S, tau, p) - want) / want)
+        assert max(errors) <= 6.4e-4
+        assert np.median(errors) <= 4.8e-6
+
+    @pytest.mark.parametrize("tau", [1e-6, 1e-4, 1e-3, 1e-2, 0.1])
+    def test_smooth_pair_converged(self, params, monkeypatch, tau):
+        """kk against ekk do not cross, so the integrand is smooth in theta
+        and 64 panels already agree with 256 to rounding."""
+        kk = lambda t: rho_kk(t, params)
+        ekk = lambda t: rho_ekk(t, params)
+        S = ekk(tau)
+        coarse = price_gap_full(ekk, kk, S, tau, params)
+        monkeypatch.setattr(pricing, "_GAP_PANELS", 256)
+        fine = price_gap_full(ekk, kk, S, tau, params)
+        assert coarse > 0.0 and abs(coarse - fine) <= 1e-10 * fine
+
+    @pytest.mark.parametrize("tau", [1e-300, 1e-320, 5e-324])
+    def test_subnormal_tau_stays_finite(self, params, tau):
+        """sqrt(tau - xi) is built from sqrt(tau), so it stays positive even
+        where tau cos^2 theta underflows, and at S on the true boundary
+        gamma is 0 / (sigma s) = 0, not 0 / 0: a finite gap, no warning, and
+        0 for identical curves."""
+        low = lambda t: np.full(np.shape(t), 90.0)
+        high = lambda t: np.full(np.shape(t), 95.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for S in (92.0, 95.0):
+                gap = price_gap_full(high, low, S, tau, params)
+                assert math.isfinite(gap) and gap >= 0.0, S
+                assert price_gap_full(high, high, S, tau, params) == 0.0, S
 
 
 class TestErrorMetrics:
